@@ -33,8 +33,8 @@ use bench::json::to_string_pretty;
 use bench::to_json_struct;
 use bgpc::verify::{verify_bgpc, verify_d2gc};
 use bgpc::{
-    BitStampSet, CsrDelta, Engine, EngineConfig, ForbiddenSet, KernelImpl, OnlineTuner,
-    RunnerOpts, Schedule, StampSet,
+    BitStampSet, CsrDelta, Engine, EngineConfig, ForbiddenSet, OnlineTuner, RunnerOpts,
+    Schedule, StampSet,
 };
 use graph::{BipartiteGraph, Graph, Ordering};
 use par::{Pool, Sched};
@@ -56,26 +56,6 @@ to_json_struct!(MicroRecord {
     speedup
 });
 
-/// Kernel micro row: dense first-fit on the same `BitStampSet`, scalar
-/// word loop vs the runtime-dispatched vector sweep.
-struct MicroKernelRecord {
-    /// Interval width (colors 0..colors−1 forbidden except the last).
-    colors: usize,
-    /// Resolved vector kernel the `simd` request dispatched to.
-    kernel: String,
-    scalar_ns: f64,
-    simd_ns: f64,
-    /// `scalar_ns / simd_ns` — > 1 means the vector sweep wins.
-    speedup: f64,
-}
-to_json_struct!(MicroKernelRecord {
-    colors,
-    kernel,
-    scalar_ns,
-    simd_ns,
-    speedup
-});
-
 /// One end-to-end schedule measurement.
 struct ScheduleRecord {
     problem: String,
@@ -93,8 +73,6 @@ struct ScheduleRecord {
     order: String,
     /// Chunk-scheduling policy (`dynamic` or `steal`).
     sched: String,
-    /// Forbidden-set kernel request (`scalar`/`simd`/`auto`).
-    kernel: String,
     /// Minimum wall time over the repetitions, milliseconds.
     time_ms: f64,
     num_colors: usize,
@@ -111,7 +89,6 @@ to_json_struct!(ScheduleRecord {
     index_width,
     order,
     sched,
-    kernel,
     time_ms,
     num_colors,
     rounds,
@@ -245,15 +222,13 @@ struct BenchReport {
     /// with `host_threads` and the per-record `pool_workers` to spot
     /// oversubscribed or clamped cells.
     requested_threads: Vec<usize>,
-    /// ISA feature set the simd dispatcher detected (`sse2,avx2`, `sse2`,
-    /// or `scalar` off x86-64).
+    /// The host's vector ISA features (`sse2,avx2`, `sse2`, or `scalar`
+    /// off x86-64); the kernels themselves are scalar.
     isa: String,
     /// Whether the measurement pools were pinned core-major (`--pin` and
     /// the affinity syscall succeeded).
     pinned: bool,
     micro: Vec<MicroRecord>,
-    /// Scalar vs vector first-fit on the word-packed set.
-    micro_kernel: Vec<MicroKernelRecord>,
     schedules: Vec<ScheduleRecord>,
     /// Fastest swept config per (problem, dataset, threads) cell.
     oracle_best: Vec<OracleRecord>,
@@ -280,7 +255,6 @@ to_json_struct!(BenchReport {
     isa,
     pinned,
     micro,
-    micro_kernel,
     schedules,
     oracle_best,
     autotune,
@@ -335,32 +309,6 @@ fn micro_section(samples: usize) -> Vec<MicroRecord> {
         .collect()
 }
 
-/// Scalar vs vector first-fit on the same dense `BitStampSet`: every
-/// word up to the last is saturated, so the sweep scans the whole array
-/// before finding color `colors − 1` — the kernel's worst (and most
-/// representative) case on dense-net instances.
-fn micro_kernel_section(samples: usize) -> Vec<MicroKernelRecord> {
-    let reps = 2000usize;
-    let resolved = KernelImpl::Simd.resolve();
-    [256usize, 1024, 4096]
-        .iter()
-        .map(|&colors| {
-            let mut fb: BitStampSet = dense(colors);
-            fb.set_kernel(KernelImpl::Scalar);
-            let scalar_ns = time_first_fit(&fb, reps, samples);
-            fb.set_kernel(KernelImpl::Simd);
-            let simd_ns = time_first_fit(&fb, reps, samples);
-            MicroKernelRecord {
-                colors,
-                kernel: resolved.label().into(),
-                scalar_ns,
-                simd_ns,
-                speedup: scalar_ns / simd_ns,
-            }
-        })
-        .collect()
-}
-
 /// Runs one schedule `reps` times with forbidden-set `F`, verifying every
 /// run; returns the record with the minimum wall time.
 #[allow(clippy::too_many_arguments)]
@@ -403,7 +351,6 @@ fn run_bgpc<F: ForbiddenSet, I: CsrIndex>(
         index_width: I::LABEL.into(),
         order: "none".into(),
         sched: schedule.sched.label().into(),
-        kernel: schedule.kernel.label().into(),
         time_ms: best_ms,
         num_colors,
         rounds,
@@ -465,7 +412,6 @@ fn axis_record_bgpc<I: CsrIndex>(
         index_width: I::LABEL.into(),
         order: relabel.label().into(),
         sched: schedule.sched.label().into(),
-        kernel: schedule.kernel.label().into(),
         time_ms: best_ms,
         num_colors,
         rounds,
@@ -524,7 +470,6 @@ fn axis_record_d2gc<I: CsrIndex>(
         index_width: I::LABEL.into(),
         order: relabel.label().into(),
         sched: schedule.sched.label().into(),
-        kernel: schedule.kernel.label().into(),
         time_ms: best_ms,
         num_colors,
         rounds,
@@ -570,7 +515,6 @@ fn run_d2gc(
         index_width: "u32".into(),
         order: "none".into(),
         sched: schedule.sched.label().into(),
-        kernel: schedule.kernel.label().into(),
         time_ms: best_ms,
         num_colors,
         rounds,
@@ -587,8 +531,8 @@ fn record_config(r: &ScheduleRecord) -> String {
         _ => "auto",
     };
     format!(
-        "schedule={} sched={} width={} relabel={} kernel={} forbidden={}",
-        r.schedule, r.sched, r.index_width, r.order, r.kernel, forbidden
+        "schedule={} sched={} width={} relabel={} forbidden={}",
+        r.schedule, r.sched, r.index_width, r.order, forbidden
     )
 }
 
@@ -926,7 +870,6 @@ fn main() {
     let mut only_width: Option<IndexWidth> = None;
     let mut only_order: Option<LocalityOrder> = None;
     let mut only_sched: Option<Sched> = None;
-    let mut only_kernel: Option<KernelImpl> = None;
     let mut pin = false;
     let mut autotune = false;
     let mut delta_axis = false;
@@ -974,14 +917,6 @@ fn main() {
                 }));
                 i += 2;
             }
-            "--kernel" => {
-                let v = flag_value(&args, i, "--kernel");
-                only_kernel = Some(KernelImpl::from_name(&v).unwrap_or_else(|| {
-                    eprintln!("bad --kernel `{v}` (expected scalar|simd|auto)");
-                    std::process::exit(2);
-                }));
-                i += 2;
-            }
             "--pin" => {
                 pin = true;
                 i += 1;
@@ -997,8 +932,8 @@ fn main() {
             other => {
                 eprintln!(
                     "unknown flag `{other}` (expected --smoke, --quick, --out PATH, \
-                     --trace PATH, --index-width W, --order O, --sched S, --kernel K, \
-                     --pin, --autotune, --delta)"
+                     --trace PATH, --index-width W, --order O, --sched S, --pin, \
+                     --autotune, --delta)"
                 );
                 std::process::exit(2);
             }
@@ -1010,11 +945,6 @@ fn main() {
     let orders: Vec<LocalityOrder> =
         only_order.map_or_else(|| LocalityOrder::all().to_vec(), |o| vec![o]);
     let scheds: Vec<Sched> = only_sched.map_or_else(|| Sched::all().to_vec(), |s| vec![s]);
-    // The default kernel sweep pits the scalar spec against the vector
-    // path; `auto` is only measured when requested (it resolves to one of
-    // the other two, so sweeping it by default would duplicate a row).
-    let kernels: Vec<KernelImpl> =
-        only_kernel.map_or_else(|| vec![KernelImpl::Scalar, KernelImpl::Simd], |k| vec![k]);
     let mk_pool = |t: usize| {
         let pool = if pin { Pool::new_pinned(t) } else { Pool::new(t) };
         if pool.threads() != t {
@@ -1093,13 +1023,6 @@ fn main() {
             m.colors, m.stamp_ns, m.bitstamp_ns, m.speedup
         );
     }
-    let micro_kernel = micro_kernel_section(micro_samples);
-    for m in &micro_kernel {
-        eprintln!(
-            "  micro first_fit dense {} colors: scalar {:.1} ns, {} {:.1} ns ({:.2}x)",
-            m.colors, m.scalar_ns, m.kernel, m.simd_ns, m.speedup
-        );
-    }
 
     let mut schedules = Vec::new();
     for dataset in &bgpc_sets {
@@ -1149,28 +1072,25 @@ fn main() {
                     let pool = mk_pool(t);
                     for base in [Schedule::v_v_64d(), Schedule::n1_n2()] {
                         for &sched in &scheds {
-                            for &kernel in &kernels {
-                                let schedule =
-                                    base.clone().with_sched(sched).with_kernel(kernel);
-                                let rec = match width {
-                                    IndexWidth::U32 => axis_record_bgpc(
-                                        &pm, &g0, &perm, dataset.name(), &schedule, &pool, t,
-                                        relabel, reps,
-                                    ),
-                                    IndexWidth::U64 => axis_record_bgpc(
-                                        &pm.to_index::<u64>(),
-                                        &g0,
-                                        &perm,
-                                        dataset.name(),
-                                        &schedule,
-                                        &pool,
-                                        t,
-                                        relabel,
-                                        reps,
-                                    ),
-                                };
-                                schedules.push(rec);
-                            }
+                            let schedule = base.clone().with_sched(sched);
+                            let rec = match width {
+                                IndexWidth::U32 => axis_record_bgpc(
+                                    &pm, &g0, &perm, dataset.name(), &schedule, &pool, t,
+                                    relabel, reps,
+                                ),
+                                IndexWidth::U64 => axis_record_bgpc(
+                                    &pm.to_index::<u64>(),
+                                    &g0,
+                                    &perm,
+                                    dataset.name(),
+                                    &schedule,
+                                    &pool,
+                                    t,
+                                    relabel,
+                                    reps,
+                                ),
+                            };
+                            schedules.push(rec);
                         }
                     }
                 }
@@ -1196,28 +1116,25 @@ fn main() {
                 for &t in &threads {
                     let pool = mk_pool(t);
                     for &sched in &scheds {
-                        for &kernel in &kernels {
-                            let schedule =
-                                Schedule::v_v_64d().with_sched(sched).with_kernel(kernel);
-                            let rec = match width {
-                                IndexWidth::U32 => axis_record_d2gc(
-                                    &pm, &g, &perm, dataset.name(), &schedule, &pool, t,
-                                    relabel, reps,
-                                ),
-                                IndexWidth::U64 => axis_record_d2gc(
-                                    &pm.to_index::<u64>(),
-                                    &g,
-                                    &perm,
-                                    dataset.name(),
-                                    &schedule,
-                                    &pool,
-                                    t,
-                                    relabel,
-                                    reps,
-                                ),
-                            };
-                            schedules.push(rec);
-                        }
+                        let schedule = Schedule::v_v_64d().with_sched(sched);
+                        let rec = match width {
+                            IndexWidth::U32 => axis_record_d2gc(
+                                &pm, &g, &perm, dataset.name(), &schedule, &pool, t, relabel,
+                                reps,
+                            ),
+                            IndexWidth::U64 => axis_record_d2gc(
+                                &pm.to_index::<u64>(),
+                                &g,
+                                &perm,
+                                dataset.name(),
+                                &schedule,
+                                &pool,
+                                t,
+                                relabel,
+                                reps,
+                            ),
+                        };
+                        schedules.push(rec);
                     }
                 }
             }
@@ -1226,7 +1143,7 @@ fn main() {
 
     for s in &schedules {
         eprintln!(
-            "  {} {} {} {}t [{}/{}/{}/{}/{}]: {:.3} ms, {} colors, {} rounds",
+            "  {} {} {} {}t [{}/{}/{}/{}]: {:.3} ms, {} colors, {} rounds",
             s.problem,
             s.dataset,
             s.schedule,
@@ -1235,7 +1152,6 @@ fn main() {
             s.index_width,
             s.order,
             s.sched,
-            s.kernel,
             s.time_ms,
             s.num_colors,
             s.rounds
@@ -1460,7 +1376,6 @@ fn main() {
         isa: bgpc::simd::isa_features().into(),
         pinned,
         micro,
-        micro_kernel,
         schedules,
         oracle_best,
         autotune: autotune_records,

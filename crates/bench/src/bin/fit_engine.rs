@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 
 use bgpc::engine::table::{render_default, ConfigSpec, EngineTable, TablePoint};
-use bgpc::{ForbiddenKind, InstanceFeatures, KernelImpl, ProblemKind, Schedule};
+use bgpc::{ForbiddenKind, InstanceFeatures, ProblemKind, Schedule};
 use graph::Graph;
 use par::Sched;
 use sparse::{Dataset, IndexWidth, LocalityOrder};
@@ -50,14 +50,20 @@ fn field_num(rec: &Json, key: &str, i: usize) -> Result<f64, String> {
 
 /// Decodes one `schedules` record into a row; errors name the offending
 /// field so a schema drift in the report fails loudly.
-fn decode_row(rec: &Json, i: usize) -> Result<SweepRow, String> {
+///
+/// Older reports carry a per-record `kernel` field from the removed
+/// vector kernel tier; rows whose kernel is not `scalar` timed code that
+/// no longer exists and decode to `None`.
+fn decode_row(rec: &Json, i: usize) -> Result<Option<SweepRow>, String> {
+    if rec.get("kernel").and_then(Json::as_str).is_some_and(|k| k != "scalar") {
+        return Ok(None);
+    }
     let problem = ProblemKind::from_name(field_str(rec, "problem", i)?)
         .ok_or_else(|| format!("schedules[{i}]: unknown problem"))?;
     let schedule = field_str(rec, "schedule", i)?;
     let sched = field_str(rec, "sched", i)?;
     let width = field_str(rec, "index_width", i)?;
     let order = field_str(rec, "order", i)?;
-    let kernel = field_str(rec, "kernel", i)?;
     let set_impl = field_str(rec, "set_impl", i)?;
     let spec = ConfigSpec {
         schedule: Schedule::from_name(schedule)
@@ -70,8 +76,6 @@ fn decode_row(rec: &Json, i: usize) -> Result<SweepRow, String> {
         ),
         relabel: LocalityOrder::from_name(order)
             .ok_or_else(|| format!("schedules[{i}]: unknown order `{order}`"))?,
-        kernel: KernelImpl::from_name(kernel)
-            .ok_or_else(|| format!("schedules[{i}]: unknown kernel `{kernel}`"))?,
         // The forced-representation ablation rows name the set; axis rows
         // say `auto` (runner dispatch), which the table keeps symbolic.
         forbidden: if set_impl.eq_ignore_ascii_case("auto") {
@@ -83,13 +87,13 @@ fn decode_row(rec: &Json, i: usize) -> Result<SweepRow, String> {
             )
         },
     };
-    Ok(SweepRow {
+    Ok(Some(SweepRow {
         problem,
         dataset: field_str(rec, "dataset", i)?.to_string(),
         threads: field_num(rec, "threads", i)? as usize,
         spec,
         time_ms: field_num(rec, "time_ms", i)?,
-    })
+    }))
 }
 
 /// Per-config timings for one instance: config key → (min time per thread
@@ -250,10 +254,14 @@ fn main() {
     let mut instances: Vec<((ProblemKind, String), CandidateSet)> = Vec::new();
     let mut n_rows = 0usize;
     for (i, rec) in records.iter().enumerate() {
-        let row = decode_row(rec, i).unwrap_or_else(|e| {
-            eprintln!("FATAL: {e}");
-            std::process::exit(1);
-        });
+        let row = match decode_row(rec, i) {
+            Ok(Some(row)) => row,
+            Ok(None) => continue,
+            Err(e) => {
+                eprintln!("FATAL: {e}");
+                std::process::exit(1);
+            }
+        };
         let key = (row.problem, row.dataset.clone());
         let set = match instances.iter_mut().find(|(k, _)| *k == key) {
             Some((_, set)) => set,
@@ -343,7 +351,6 @@ fn main() {
                 sched: Sched::Dynamic,
                 width: None,
                 relabel: LocalityOrder::None,
-                kernel: KernelImpl::Auto,
                 forbidden: None,
             })
     };

@@ -9,17 +9,14 @@
 //! replays it.
 //!
 //! ```text
-//! check_smoke [--seed N] [--cases N] [--deep] [--kernel K] [--autotune]
-//!             [--delta] [--dist] [--replay-case SEED]
+//! check_smoke [--seed N] [--cases N] [--deep] [--autotune] [--delta]
+//!             [--dist] [--replay-case SEED]
 //! ```
 //!
 //! * `--seed N` — base seed (default 20260806).
 //! * `--cases N` — differential-oracle cases (default 200).
 //! * `--deep` — long mode for `bench.sh --check-deep`: more random
 //!   schedules, more oracle cases, plus stall-perturbation runs.
-//! * `--kernel scalar|simd|auto` — pin the oracle sweep's forbidden-set
-//!   kernel axis instead of drawing it per case (`scripts/verify.sh`
-//!   forces both `scalar` and `simd` through the sweep).
 //! * `--delta` — run *only* the incremental-recoloring oracle sweep
 //!   ([`check::delta`]): random mutation batches applied with
 //!   `apply_delta`, recolored from the dirty set, checked against the
@@ -45,8 +42,8 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 const USAGE: &str =
-    "usage: check_smoke [--seed N] [--cases N] [--deep] [--kernel scalar|simd|auto] \
-     [--autotune] [--delta] [--dist] [--replay-case SEED]";
+    "usage: check_smoke [--seed N] [--cases N] [--deep] [--autotune] [--delta] [--dist] \
+     [--replay-case SEED]";
 
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
@@ -60,7 +57,6 @@ struct Args {
     autotune: bool,
     delta: bool,
     dist: bool,
-    kernel: Option<bgpc::KernelImpl>,
     replay_case: Option<u64>,
 }
 
@@ -72,7 +68,6 @@ fn parse_args() -> Result<Args, ExitCode> {
         autotune: false,
         delta: false,
         dist: false,
-        kernel: None,
         replay_case: None,
     };
     let mut it = std::env::args().skip(1);
@@ -92,13 +87,6 @@ fn parse_args() -> Result<Args, ExitCode> {
             "--autotune" => args.autotune = true,
             "--delta" => args.delta = true,
             "--dist" => args.dist = true,
-            "--kernel" => {
-                let v = it.next().unwrap_or_default();
-                args.kernel = Some(bgpc::KernelImpl::from_name(&v).ok_or_else(|| {
-                    eprintln!("check_smoke: bad --kernel `{v}` (expected scalar|simd|auto)");
-                    usage()
-                })?);
-            }
             "--replay-case" => args.replay_case = Some(take("--replay-case")?),
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -232,11 +220,11 @@ fn main() -> ExitCode {
         let outcome = if args.autotune {
             check::run_autotune_case_from_seed(case_seed)
         } else if args.delta {
-            check::run_delta_case_from_seed_with(case_seed, args.kernel)
+            check::run_delta_case_from_seed(case_seed)
         } else if args.dist {
             check::run_sharded_case_from_seed(case_seed)
         } else {
-            check::run_case_from_seed_with(case_seed, args.kernel)
+            check::run_case_from_seed(case_seed)
         };
         return match outcome {
             Ok(()) => {
@@ -252,15 +240,10 @@ fn main() -> ExitCode {
 
     if args.delta {
         let t0 = Instant::now();
-        println!(
-            "check_smoke: seed {} | {} delta cases | kernel {}",
-            args.seed,
-            args.cases,
-            args.kernel.map_or("drawn", |k| k.label()),
-        );
+        println!("check_smoke: seed {} | {} delta cases", args.seed, args.cases);
         println!("incremental-recoloring oracle:");
         let ok = stage("delta: mutation sweep", args.seed, || {
-            check::run_delta_sweep_with(args.seed, args.cases, args.kernel)
+            check::run_delta_sweep(args.seed, args.cases)
                 .map(|n| format!("{n} mutation cases, zero divergences"))
                 .map_err(|f| {
                     format!(
@@ -323,11 +306,10 @@ fn main() -> ExitCode {
 
     let t0 = Instant::now();
     println!(
-        "check_smoke: seed {} | {} oracle cases | {} mode | kernel {}",
+        "check_smoke: seed {} | {} oracle cases | {} mode",
         args.seed,
         args.cases,
         if args.deep { "deep" } else { "smoke" },
-        args.kernel.map_or("drawn", |k| k.label()),
     );
     let mut ok = true;
 
@@ -339,7 +321,7 @@ fn main() -> ExitCode {
     println!("differential oracle:");
     let cases = if args.deep { args.cases.max(2000) } else { args.cases };
     ok &= stage("oracle: bgpc + d2gc sweep", args.seed, || {
-        check::run_oracle_sweep_with(args.seed, cases, args.kernel)
+        check::run_oracle_sweep(args.seed, cases)
             .map(|n| format!("{n} cases, zero divergences"))
             .map_err(|f| format!("{f}\n       replay: check_smoke --replay-case {}", f.case_seed))
     });

@@ -51,13 +51,7 @@ pub mod sharded;
 pub mod vsched;
 
 pub use autotune::{run_autotune_case_from_seed, run_autotune_sweep};
-pub use delta::{
-    run_delta_case_from_seed, run_delta_case_from_seed_with, run_delta_sweep,
-    run_delta_sweep_with,
-};
-pub use oracle::{
-    run_case_from_seed, run_case_from_seed_with, run_oracle_sweep, run_oracle_sweep_with,
-    OracleFailure,
-};
+pub use delta::{run_delta_case_from_seed, run_delta_sweep};
+pub use oracle::{run_case_from_seed, run_oracle_sweep, OracleFailure};
 pub use sharded::{run_sharded_case_from_seed, run_sharded_sweep};
 pub use vsched::{CheckFailure, Coverage, ThreadProgram};

@@ -67,8 +67,6 @@ pub struct ColorArgs {
     pub explicit_schedule: bool,
     /// `--sched` was passed explicitly.
     pub explicit_sched: bool,
-    /// `--kernel` was passed explicitly.
-    pub explicit_kernel: bool,
     /// `--relabel` was passed explicitly.
     pub explicit_relabel: bool,
 }
@@ -79,7 +77,7 @@ usage: bgpc-cli color [--mtx FILE | --bin FILE | --dataset NAME [--scale F] [--s
                       [--problem bgpc|d2gc|d1gc|dK] [--schedule NAME]
                       [--order natural|random:SEED|largest-first|smallest-last|incidence-degree]
                       [--index-width auto|u32|u64] [--relabel none|degree|bfs]
-                      [--sched dynamic|steal] [--kernel scalar|simd|auto] [--pin]
+                      [--sched dynamic|steal] [--pin]
                       [--threads N] [--recolor] [--output FILE]
                       [--trace FILE] [--metrics] [--autotune]
 
@@ -103,7 +101,6 @@ impl ColorArgs {
         let mut index_width: Option<IndexWidth> = None;
         let mut relabel = LocalityOrder::None;
         let mut sched = par::Sched::Dynamic;
-        let mut kernel = bgpc::KernelImpl::Auto;
         let mut pin = false;
         let mut recolor = false;
         let mut output = None;
@@ -112,7 +109,6 @@ impl ColorArgs {
         let mut autotune = false;
         let mut explicit_schedule = false;
         let mut explicit_sched = false;
-        let mut explicit_kernel = false;
         let mut explicit_relabel = false;
 
         let mut i = 0;
@@ -188,12 +184,6 @@ impl ColorArgs {
                     explicit_sched = true;
                     i += 2;
                 }
-                "--kernel" => {
-                    kernel = bgpc::KernelImpl::from_name(value(i)?)
-                        .ok_or_else(|| format!("unknown kernel `{}`", args[i + 1]))?;
-                    explicit_kernel = true;
-                    i += 2;
-                }
                 "--autotune" => {
                     autotune = true;
                     i += 1;
@@ -234,7 +224,7 @@ impl ColorArgs {
         Ok(Self {
             input,
             problem,
-            schedule: schedule.with_sched(sched).with_kernel(kernel),
+            schedule: schedule.with_sched(sched),
             ordering,
             threads,
             index_width,
@@ -247,7 +237,6 @@ impl ColorArgs {
             autotune,
             explicit_schedule,
             explicit_sched,
-            explicit_kernel,
             explicit_relabel,
         })
     }
@@ -260,7 +249,6 @@ impl ColorArgs {
         bgpc::Overrides {
             schedule: self.explicit_schedule.then(|| self.schedule.clone()),
             sched: self.explicit_sched.then_some(self.schedule.sched),
-            kernel: self.explicit_kernel.then_some(self.schedule.kernel),
             relabel: self.explicit_relabel.then_some(self.relabel),
             index_width: self.index_width,
             forbidden: None,
@@ -397,7 +385,6 @@ mod tests {
         assert_eq!(ov.schedule.as_ref().map(|sc| sc.name()), Some("V-V".into()));
         assert_eq!(ov.sched, Some(par::Sched::Stealing));
         assert_eq!(ov.index_width, Some(IndexWidth::U64));
-        assert_eq!(ov.kernel, None, "--kernel not passed");
         assert_eq!(ov.relabel, None, "--relabel not passed");
 
         // `--index-width auto` asks for the heuristic, not an override.
@@ -445,16 +432,10 @@ mod tests {
     }
 
     #[test]
-    fn parse_kernel_and_pin_axes() {
-        let a = ColorArgs::parse(&s(&["--mtx", "a", "--kernel", "scalar", "--pin"])).unwrap();
-        assert_eq!(a.schedule.kernel, bgpc::KernelImpl::Scalar);
+    fn parse_pin_axis() {
+        let a = ColorArgs::parse(&s(&["--mtx", "a", "--pin"])).unwrap();
         assert!(a.pin);
-        let a = ColorArgs::parse(&s(&["--mtx", "a", "--kernel", "simd"])).unwrap();
-        assert_eq!(a.schedule.kernel, bgpc::KernelImpl::Simd);
-        assert!(!a.pin);
         let a = ColorArgs::parse(&s(&["--mtx", "a"])).unwrap();
-        assert_eq!(a.schedule.kernel, bgpc::KernelImpl::Auto, "default");
-        assert!(ColorArgs::parse(&s(&["--mtx", "a", "--kernel", "zzz"])).is_err());
-        assert!(ColorArgs::parse(&s(&["--mtx", "a", "--kernel"])).is_err());
+        assert!(!a.pin);
     }
 }

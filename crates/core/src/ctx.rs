@@ -5,9 +5,7 @@ use std::marker::PhantomData;
 use sparse::CsrIndex;
 
 use crate::balance::BalancerState;
-use crate::color::Color;
 use crate::forbidden::{BitStampSet, ForbiddenSet};
-use crate::simd::{ActiveKernel, KernelImpl};
 
 /// One team thread's reusable buffers.
 ///
@@ -35,13 +33,6 @@ pub struct ThreadCtx<F: ForbiddenSet = BitStampSet, I: CsrIndex = u32> {
     /// flush with one `fetch_add` per [`crate::workqueue::STAGE_CAPACITY`]
     /// entries instead of one per conflict.
     pub stage: Vec<u32>,
-    /// Resolved kernel tier for this run (set by the runners from
-    /// [`crate::Schedule::kernel`]; defaults to the widest supported ISA).
-    pub kernel: ActiveKernel,
-    /// Scratch buffer for the net two-pass marking gather: the vector path
-    /// batches the pin colors here before marking, instead of one scalar
-    /// load per pin.
-    pub gather: Vec<Color>,
     /// Zero-sized marker for the instance's index width (see type docs).
     _width: PhantomData<fn() -> I>,
 }
@@ -56,18 +47,8 @@ impl<F: ForbiddenSet, I: CsrIndex> ThreadCtx<F, I> {
             local_queue: Vec::new(),
             wlocal: Vec::new(),
             stage: Vec::with_capacity(crate::workqueue::STAGE_CAPACITY),
-            kernel: KernelImpl::Auto.resolve(),
-            gather: Vec::new(),
             _width: PhantomData,
         }
-    }
-
-    /// Resolves a kernel request for this workspace: records the active
-    /// tier for the traversal kernels and forwards it to the forbidden set
-    /// so its first-fit scan picks the matching word-scan path.
-    pub fn set_kernel(&mut self, kernel: KernelImpl) {
-        self.kernel = kernel.resolve();
-        self.fb.set_kernel(kernel);
     }
 
     /// Resets the per-run state so the workspace can be reused for a
@@ -86,7 +67,6 @@ impl<F: ForbiddenSet, I: CsrIndex> ThreadCtx<F, I> {
         self.local_queue.clear();
         self.wlocal.clear();
         self.stage.clear();
-        self.gather.clear();
     }
 }
 
@@ -105,17 +85,6 @@ mod tests {
         assert!(tiny.local_queue.is_empty());
         assert!(tiny.wlocal.is_empty());
         assert!(tiny.stage.is_empty());
-        assert!(tiny.gather.is_empty());
-        assert_eq!(tiny.kernel, KernelImpl::Auto.resolve());
-    }
-
-    #[test]
-    fn set_kernel_resolves_and_sticks() {
-        let mut ctx: ThreadCtx = ThreadCtx::new(32);
-        ctx.set_kernel(KernelImpl::Scalar);
-        assert_eq!(ctx.kernel, ActiveKernel::Scalar);
-        ctx.set_kernel(KernelImpl::Auto);
-        assert_eq!(ctx.kernel, KernelImpl::Auto.resolve());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! The paper's central result is that no single configuration wins
 //! everywhere: the best schedule, forbidden-set representation, index
-//! width, relabeling, chunk scheduler, and kernel shift with degree skew,
-//! net size, and density. This module turns that observation into one
+//! width, relabeling, and chunk scheduler shift with degree skew, net
+//! size, and density. This module turns that observation into one
 //! surface:
 //!
 //! 1. [`InstanceFeatures`] — a cheap O(n + nnz) feature pass over the
@@ -34,7 +34,6 @@ use crate::forbidden::ForbiddenSet;
 use crate::metrics::{ColoringResult, IterationMetrics, TunerAction, TunerActionKind};
 use crate::runner::RunnerOpts;
 use crate::schedule::PhaseKind;
-use crate::simd::KernelImpl;
 use crate::{tuning, Schedule};
 
 pub mod table;
@@ -275,8 +274,8 @@ impl InstanceFeatures {
 /// grounded against the instance features.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
-    /// Schedule with the chosen chunk scheduler and kernel folded into
-    /// its `sched` / `kernel` fields.
+    /// Schedule with the chosen chunk scheduler folded into its `sched`
+    /// field.
     pub schedule: Schedule,
     /// Forbidden-set representation the driver should force.
     pub forbidden: ForbiddenKind,
@@ -291,12 +290,11 @@ impl EngineConfig {
     /// benchmark records, the serve cache, and `--autotune` banners log.
     pub fn describe(&self) -> String {
         format!(
-            "schedule={} sched={} width={} relabel={} kernel={} forbidden={}",
+            "schedule={} sched={} width={} relabel={} forbidden={}",
             self.schedule.name(),
             self.schedule.sched.label(),
             self.index_width.label(),
             self.relabel.label(),
-            self.schedule.kernel.label(),
             self.forbidden.label(),
         )
     }
@@ -327,12 +325,10 @@ pub struct EngineChoice {
 #[derive(Clone, Debug, Default)]
 pub struct Overrides {
     /// `--schedule` — replaces the schedule but keeps the engine's
-    /// scheduler/kernel choice unless those were also explicit.
+    /// scheduler choice unless that was also explicit.
     pub schedule: Option<Schedule>,
     /// `--sched`.
     pub sched: Option<Sched>,
-    /// `--kernel`.
-    pub kernel: Option<KernelImpl>,
     /// `--relabel`.
     pub relabel: Option<LocalityOrder>,
     /// `--index-width`.
@@ -346,7 +342,6 @@ impl Overrides {
     pub fn any(&self) -> bool {
         self.schedule.is_some()
             || self.sched.is_some()
-            || self.kernel.is_some()
             || self.relabel.is_some()
             || self.index_width.is_some()
             || self.forbidden.is_some()
@@ -356,14 +351,10 @@ impl Overrides {
     pub fn apply(&self, cfg: &mut EngineConfig) {
         if let Some(s) = &self.schedule {
             let sched = cfg.schedule.sched;
-            let kernel = cfg.schedule.kernel;
-            cfg.schedule = s.clone().with_sched(sched).with_kernel(kernel);
+            cfg.schedule = s.clone().with_sched(sched);
         }
         if let Some(s) = self.sched {
             cfg.schedule.sched = s;
-        }
-        if let Some(k) = self.kernel {
-            cfg.schedule.kernel = k;
         }
         if let Some(r) = self.relabel {
             cfg.relabel = r;
@@ -437,11 +428,7 @@ impl Engine {
             .forbidden
             .unwrap_or_else(|| ForbiddenKind::auto_for(f.dispatch_neighborhood()));
         let config = EngineConfig {
-            schedule: spec
-                .schedule
-                .clone()
-                .with_sched(spec.sched)
-                .with_kernel(spec.kernel),
+            schedule: spec.schedule.clone().with_sched(spec.sched),
             forbidden,
             index_width,
             relabel: spec.relabel,
@@ -724,8 +711,8 @@ mod tests {
         // A table that hard-codes u32 must still be promoted on an
         // instance whose nnz cannot be addressed by u32 row pointers.
         let text = "\
-default bgpc schedule=N1-N2 sched=dynamic width=u32 relabel=none kernel=auto forbidden=auto
-default d2gc schedule=V-V-64D sched=dynamic width=u32 relabel=none kernel=auto forbidden=auto
+default bgpc schedule=N1-N2 sched=dynamic width=u32 relabel=none forbidden=auto
+default d2gc schedule=V-V-64D sched=dynamic width=u32 relabel=none forbidden=auto
 ";
         let engine = Engine::from_table_text(text).unwrap();
         let f = InstanceFeatures {
@@ -751,8 +738,8 @@ default d2gc schedule=V-V-64D sched=dynamic width=u32 relabel=none kernel=auto f
     #[test]
     fn forbidden_auto_resolves_through_tuning_cutoff() {
         let text = "\
-default bgpc schedule=N1-N2 sched=dynamic width=auto relabel=none kernel=auto forbidden=auto
-default d2gc schedule=V-V-64D sched=dynamic width=auto relabel=none kernel=auto forbidden=auto
+default bgpc schedule=N1-N2 sched=dynamic width=auto relabel=none forbidden=auto
+default d2gc schedule=V-V-64D sched=dynamic width=auto relabel=none forbidden=auto
 ";
         let engine = Engine::from_table_text(text).unwrap();
         let mut f = InstanceFeatures {
@@ -789,7 +776,6 @@ default d2gc schedule=V-V-64D sched=dynamic width=auto relabel=none kernel=auto 
         let ov = Overrides {
             schedule: Some(Schedule::v_v()),
             sched: Some(Sched::Stealing),
-            kernel: Some(KernelImpl::Scalar),
             relabel: Some(LocalityOrder::Bfs),
             index_width: Some(IndexWidth::U64),
             forbidden: Some(ForbiddenKind::Stamp),
@@ -798,14 +784,12 @@ default d2gc schedule=V-V-64D sched=dynamic width=auto relabel=none kernel=auto 
         ov.apply(&mut cfg);
         assert_eq!(cfg.schedule.name(), Schedule::v_v().name());
         assert_eq!(cfg.schedule.sched, Sched::Stealing);
-        assert_eq!(cfg.schedule.kernel, KernelImpl::Scalar);
         assert_eq!(cfg.relabel, LocalityOrder::Bfs);
         assert_eq!(cfg.index_width, IndexWidth::U64);
         assert_eq!(cfg.forbidden, ForbiddenKind::Stamp);
-        // A schedule-only override keeps the engine's sched/kernel.
+        // A schedule-only override keeps the engine's sched.
         let mut cfg2 = engine.select_bgpc(&g).config;
         let engine_sched = cfg2.schedule.sched;
-        let engine_kernel = cfg2.schedule.kernel;
         Overrides {
             schedule: Some(Schedule::v_n(1)),
             ..Default::default()
@@ -813,7 +797,6 @@ default d2gc schedule=V-V-64D sched=dynamic width=auto relabel=none kernel=auto 
         .apply(&mut cfg2);
         assert_eq!(cfg2.schedule.name(), Schedule::v_n(1).name());
         assert_eq!(cfg2.schedule.sched, engine_sched);
-        assert_eq!(cfg2.schedule.kernel, engine_kernel);
     }
 
     #[test]

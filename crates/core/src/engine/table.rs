@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! default <problem> schedule=<S> sched=<dynamic|steal> width=<auto|u32|u64>
-//!         relabel=<none|degree|bfs> kernel=<auto|scalar|simd> forbidden=<auto|stamp|bitstamp>
+//!         relabel=<none|degree|bfs> forbidden=<auto|stamp|bitstamp>
 //! point <problem> tag=<label> n=<int> nets=<int> nnz=<int> maxdeg=<int> maxnet=<int>
 //!       avgdeg=<float> cv=<float> density=<float> -> schedule=<S> sched=... (same keys)
 //! ```
@@ -24,15 +24,14 @@ use par::Sched;
 use sparse::{IndexWidth, LocalityOrder};
 
 use crate::engine::{ForbiddenKind, InstanceFeatures, ProblemKind};
-use crate::simd::KernelImpl;
 use crate::Schedule;
 
 /// A config as written in the table: `auto` axes stay unresolved here and
 /// are resolved against instance features at selection time.
 #[derive(Clone, Debug)]
 pub struct ConfigSpec {
-    /// Schedule (label + balance; `sched`/`kernel` fields are overridden
-    /// by the axes below).
+    /// Schedule (label + balance; the `sched` field is overridden by the
+    /// axis below).
     pub schedule: Schedule,
     /// Chunk-scheduling policy.
     pub sched: Sched,
@@ -40,8 +39,6 @@ pub struct ConfigSpec {
     pub width: Option<IndexWidth>,
     /// Locality relabeling.
     pub relabel: LocalityOrder,
-    /// Forbidden-set kernel request.
-    pub kernel: KernelImpl,
     /// Forbidden-set representation; `None` = pick by neighborhood size.
     pub forbidden: Option<ForbiddenKind>,
 }
@@ -51,12 +48,11 @@ impl ConfigSpec {
     /// reads back) — shared with `fit_engine` so there is one format.
     pub fn render(&self) -> String {
         format!(
-            "schedule={} sched={} width={} relabel={} kernel={} forbidden={}",
+            "schedule={} sched={} width={} relabel={} forbidden={}",
             self.schedule.name(),
             self.sched.label(),
             self.width.map_or("auto", |w| w.label()),
             self.relabel.label(),
-            self.kernel.label(),
             self.forbidden.map_or("auto", |f| f.label()),
         )
     }
@@ -123,7 +119,6 @@ fn parse_spec(toks: &[&str], line_no: usize) -> Result<ConfigSpec, String> {
     let mut sched: Option<Sched> = None;
     let mut width: Option<Option<IndexWidth>> = None;
     let mut relabel: Option<LocalityOrder> = None;
-    let mut kernel: Option<KernelImpl> = None;
     let mut forbidden: Option<Option<ForbiddenKind>> = None;
     for tok in toks {
         if let Some(v) = kv(tok, "schedule") {
@@ -148,10 +143,6 @@ fn parse_spec(toks: &[&str], line_no: usize) -> Result<ConfigSpec, String> {
             relabel = Some(LocalityOrder::from_name(v).ok_or_else(|| {
                 format!("line {line_no}: unknown relabel `{v}`")
             })?);
-        } else if let Some(v) = kv(tok, "kernel") {
-            kernel = Some(KernelImpl::from_name(v).ok_or_else(|| {
-                format!("line {line_no}: unknown kernel `{v}`")
-            })?);
         } else if let Some(v) = kv(tok, "forbidden") {
             forbidden = Some(if v.eq_ignore_ascii_case("auto") {
                 None
@@ -171,7 +162,6 @@ fn parse_spec(toks: &[&str], line_no: usize) -> Result<ConfigSpec, String> {
         width: width.ok_or_else(|| format!("line {line_no}: config misses width="))?,
         relabel: relabel
             .ok_or_else(|| format!("line {line_no}: config misses relabel="))?,
-        kernel: kernel.ok_or_else(|| format!("line {line_no}: config misses kernel="))?,
         forbidden: forbidden
             .ok_or_else(|| format!("line {line_no}: config misses forbidden="))?,
     })
@@ -317,10 +307,10 @@ mod tests {
 
     const MINIMAL: &str = "\
 # comment line
-default bgpc schedule=N1-N2 sched=dynamic width=auto relabel=none kernel=auto forbidden=auto
-default d2gc schedule=V-V-64D sched=dynamic width=auto relabel=none kernel=auto forbidden=auto
+default bgpc schedule=N1-N2 sched=dynamic width=auto relabel=none forbidden=auto
+default d2gc schedule=V-V-64D sched=dynamic width=auto relabel=none forbidden=auto
 point bgpc tag=tiny n=10 nets=12 nnz=40 maxdeg=5 maxnet=6 avgdeg=4.0 cv=0.3 density=0.33 \
- -> schedule=V-V-64D sched=steal width=u32 relabel=degree kernel=simd forbidden=bitstamp
+ -> schedule=V-V-64D sched=steal width=u32 relabel=degree forbidden=bitstamp
 ";
 
     #[test]
@@ -343,9 +333,11 @@ point bgpc tag=tiny n=10 nets=12 nnz=40 maxdeg=5 maxnet=6 avgdeg=4.0 cv=0.3 dens
     #[test]
     fn parse_rejects_typos_with_line_numbers() {
         for (bad, needle) in [
-            ("default bgpc schedule=ZZZ sched=dynamic width=auto relabel=none kernel=auto forbidden=auto", "unknown schedule"),
+            ("default bgpc schedule=ZZZ sched=dynamic width=auto relabel=none forbidden=auto", "unknown schedule"),
             ("bogus bgpc", "unknown entry kind"),
-            ("point bgpc n=1 -> schedule=V-V sched=dynamic width=auto relabel=none kernel=auto forbidden=auto", "misses nets="),
+            ("point bgpc n=1 -> schedule=V-V sched=dynamic width=auto relabel=none forbidden=auto", "misses nets="),
+            // Tables written before the kernel axis was removed fail loudly.
+            ("default bgpc schedule=N1-N2 sched=dynamic width=auto relabel=none kernel=auto forbidden=auto", "unknown config key `kernel=auto`"),
             ("point bgpc tag=x n=1 nets=1 nnz=1 maxdeg=1 maxnet=1 avgdeg=1 cv=0 density=1 schedule=V-V", "misses the `->`"),
         ] {
             let err = EngineTable::parse(bad).unwrap_err();

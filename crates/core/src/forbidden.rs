@@ -17,7 +17,6 @@
 //! two can be compared head-to-head; the kernels default to
 //! [`BitStampSet`].
 
-use crate::simd::{ActiveKernel, KernelImpl};
 use crate::{Color, UNCOLORED};
 
 /// The shared contract of a forbidden-color set: O(1) logical clear via
@@ -51,20 +50,6 @@ pub trait ForbiddenSet: Send {
 
     /// Current capacity (colors storable without growth).
     fn capacity(&self) -> usize;
-
-    /// Installs the resolved `--kernel` dispatch for this set's scans.
-    ///
-    /// Default no-op: representations without vectorized paths (the
-    /// [`StampSet`] executable spec) ignore the request, which is exactly
-    /// the scalar-stays-the-spec contract.
-    fn set_kernel(&mut self, _kernel: KernelImpl) {}
-
-    /// Hints that the storage backing `color` will be touched soon.
-    ///
-    /// Default no-op; issued by the vectorized gather path one lane block
-    /// ahead of its insert sub-loop.
-    #[inline]
-    fn prefetch_word(&self, _color: Color) {}
 }
 
 /// A forbidden-color set that is "emptied" in O(1).
@@ -189,13 +174,6 @@ impl ForbiddenSet for StampSet {
     fn capacity(&self) -> usize {
         StampSet::capacity(self)
     }
-
-    // set_kernel: default no-op — the StampSet *is* the scalar spec.
-
-    #[inline]
-    fn prefetch_word(&self, color: Color) {
-        sparse::prefetch::prefetch_read(&self.stamp, color.max(0) as usize);
-    }
 }
 
 /// Word-packed, epoch-stamped forbidden set: one `u64` bitmap word per 64
@@ -227,20 +205,13 @@ pub struct BitStampSet {
     /// arrays.
     entries: Vec<WordEntry>,
     mark: u64,
-    /// Resolved first-fit dispatch (see [`crate::simd`]); defaults to the
-    /// widest tier the CPU supports, pinned to scalar by
-    /// [`ForbiddenSet::set_kernel`] under `--kernel scalar`.
-    kernel: ActiveKernel,
 }
 
-/// One 16-byte forbidden-set slot covering 64 colors. `repr(C)` so the
-/// vectorized scans of [`crate::simd`] may load `[stamp, bits]` pairs as
-/// packed 128/256-bit lanes.
-#[repr(C)]
+/// One 16-byte forbidden-set slot covering 64 colors.
 #[derive(Clone, Copy)]
-pub(crate) struct WordEntry {
-    pub(crate) stamp: u64,
-    pub(crate) bits: u64,
+struct WordEntry {
+    stamp: u64,
+    bits: u64,
 }
 
 const EMPTY_ENTRY: WordEntry = WordEntry { stamp: 0, bits: 0 };
@@ -254,24 +225,7 @@ impl BitStampSet {
             // Marker starts at 1: zeroed stamps (and resize padding) are
             // stale, so a fresh set is empty.
             mark: 1,
-            kernel: KernelImpl::Auto.resolve(),
         }
-    }
-
-    /// The interleaved word entries, for the scalar≡simd property tests
-    /// (the production scans reach the entries directly via
-    /// [`Self::first_fit_from`]'s dispatch).
-    #[cfg(test)]
-    #[inline]
-    pub(crate) fn raw_entries(&self) -> &[WordEntry] {
-        &self.entries
-    }
-
-    /// The current marker, paired with [`Self::raw_entries`].
-    #[cfg(test)]
-    #[inline]
-    pub(crate) fn raw_mark(&self) -> u64 {
-        self.mark
     }
 
     /// The bitmap word covering colors `64*wi .. 64*wi + 64`, reading
@@ -334,20 +288,8 @@ impl BitStampSet {
     /// Branchless per probe: bits below `from` in the first word are
     /// masked in as forbidden, then each word answers "any free color
     /// here?" for 64 colors at once and `trailing_ones` indexes the hit.
-    /// Dispatches to the SSE2/AVX2 multi-word scans of [`crate::simd`]
-    /// when a vector kernel is installed; the private `first_fit_scalar`
-    /// word loop is the executable spec either way.
     #[inline]
     pub fn first_fit_from(&self, from: Color) -> Color {
-        match self.kernel {
-            ActiveKernel::Scalar => self.first_fit_scalar(from),
-            k => crate::simd::first_fit_words(&self.entries, self.mark, from, k),
-        }
-    }
-
-    /// The scalar first-fit spec: one live word per probe.
-    #[inline]
-    fn first_fit_scalar(&self, from: Color) -> Color {
         debug_assert!(from >= 0);
         let start = from as usize;
         let mut wi = start / 64;
@@ -429,16 +371,6 @@ impl ForbiddenSet for BitStampSet {
 
     fn capacity(&self) -> usize {
         BitStampSet::capacity(self)
-    }
-
-    #[inline]
-    fn set_kernel(&mut self, kernel: KernelImpl) {
-        self.kernel = kernel.resolve();
-    }
-
-    #[inline]
-    fn prefetch_word(&self, color: Color) {
-        sparse::prefetch::prefetch_read(&self.entries, color.max(0) as usize / 64);
     }
 }
 

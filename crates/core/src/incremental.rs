@@ -16,9 +16,9 @@
 //!    the existing speculative drivers with the previous coloring and a
 //!    work queue containing *only* the dirty vertices, then run the
 //!    ordinary color-then-repair loop until clean. Every runner feature
-//!    — [`crate::ctx::ThreadCtx`] scratch, forbidden-set dispatch, the SIMD
-//!    kernels, all [`Schedule`]s, and [`RunnerOpts`]
-//!    (deadline/cancel/online tuner) — applies unchanged.
+//!    — [`crate::ctx::ThreadCtx`] scratch, forbidden-set dispatch, all
+//!    [`Schedule`]s, and [`RunnerOpts`] (deadline/cancel/online tuner) —
+//!    applies unchanged.
 //!
 //! # Why the dirty set suffices
 //!
@@ -51,7 +51,7 @@
 //! vertex takes the first color not used in its distance-2 neighborhood,
 //! which always exists below `Δ₂(G′) + 1`, and stable vertices only hold
 //! colors below `k_base`. `crates/check`'s differential oracle enforces
-//! this bound across schedules × kernels × index widths.
+//! this bound across schedules × index widths.
 //!
 //! # Example
 //!

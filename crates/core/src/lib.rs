@@ -95,4 +95,3 @@ pub use runner::{
     color_bgpc, color_bgpc_with_opts, color_bgpc_with_set, try_color_bgpc, RunnerOpts,
 };
 pub use schedule::{PhaseKind, Schedule};
-pub use simd::{ActiveKernel, KernelImpl};

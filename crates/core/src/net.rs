@@ -14,7 +14,6 @@ use sparse::CsrIndex;
 
 use crate::ctx::ThreadCtx;
 use crate::forbidden::ForbiddenSet;
-use crate::simd;
 use crate::{Balance, Color, Colors, UNCOLORED};
 
 /// Dynamic chunk used for net-parallel loops. Nets vary in size far more
@@ -145,42 +144,18 @@ fn color_net_two_pass<F: ForbiddenSet, I: CsrIndex>(
         scratch.with(tid, |ctx| {
             let mut colored = 0u64;
             let mut probes = 0u64;
-            let mut vstats = simd::VecStats::default();
-            // The marking pass is read-only over `colors`, so the vector
-            // path may batch-gather the pin colors up front. (The
-            // single-pass variant and the conflict-removal pass write
-            // colors mid-scan and must stay scalar — a pre-gathered
-            // snapshot would diverge from the spec on duplicate pins.)
-            let vector = ctx.kernel.has_gather();
             for v in range {
                 ctx.fb.advance();
                 ctx.wlocal.clear();
-                let pins = g.vtxs(v);
-                if vector && pins.len() >= simd::GATHER_LANES {
-                    let mut gathered = std::mem::take(&mut ctx.gather);
-                    simd::gather_colors(colors, pins, &mut gathered, &mut vstats);
-                    for (&u, &cu) in pins.iter().zip(&gathered) {
-                        if cu != UNCOLORED && !ctx.fb.contains(cu) {
-                            ctx.fb.insert(cu);
-                        } else {
-                            ctx.wlocal.push(u);
-                        }
-                        if trace::COMPILED {
-                            probes += 1;
-                        }
+                for &u in g.vtxs(v) {
+                    let cu = colors.get(u as usize);
+                    if cu != UNCOLORED && !ctx.fb.contains(cu) {
+                        ctx.fb.insert(cu);
+                    } else {
+                        ctx.wlocal.push(u);
                     }
-                    ctx.gather = gathered;
-                } else {
-                    for &u in pins {
-                        let cu = colors.get(u as usize);
-                        if cu != UNCOLORED && !ctx.fb.contains(cu) {
-                            ctx.fb.insert(cu);
-                        } else {
-                            ctx.wlocal.push(u);
-                        }
-                        if trace::COMPILED {
-                            probes += 1;
-                        }
+                    if trace::COMPILED {
+                        probes += 1;
                     }
                 }
                 if ctx.wlocal.is_empty() {
@@ -226,7 +201,6 @@ fn color_net_two_pass<F: ForbiddenSet, I: CsrIndex>(
                     let mut local = trace::CounterSheet::new();
                     local.add(trace::Counter::VerticesColored, colored);
                     local.add(trace::Counter::ForbiddenProbes, probes);
-                    local.add(trace::Counter::SimdPathHits, vstats.blocks);
                     r.merge(tid, &local);
                 }
             }

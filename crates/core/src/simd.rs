@@ -1,642 +1,37 @@
-//! Runtime-dispatched SIMD kernels for the forbidden-set hot paths.
+//! Host ISA stamp for benchmark records.
 //!
-//! Mirrors the [`crate::StampSet`] / [`crate::BitStampSet`] pattern one
-//! level down: the scalar loops in [`crate::forbidden`], [`crate::vertex`],
-//! [`crate::net`] and [`crate::d2gc`] remain the executable specification,
-//! and every vectorized routine in this module must return *bit-identical*
-//! answers (a property test drives randomized states through both paths).
-//!
-//! Dispatch is runtime-detected on x86-64 (`is_x86_feature_detected!`):
-//!
-//! * **AVX2** — 2 forbidden-set words per first-fit probe, 8-lane color
-//!   gathers (`vpgatherdd`) for the forbidden-mark and conflict sweeps.
-//! * **SSE2** — the x86-64 baseline: packed stamp-compare first-fit, one
-//!   word per probe. SSE2 has no gather instruction, so the mark/conflict
-//!   sweeps stay scalar at this tier.
-//! * **Scalar** — every other architecture, and the `--kernel scalar`
-//!   override. Identical to the spec loops by construction (it *is* them).
-//!
-//! The public face is [`KernelImpl`] — the `--kernel scalar|simd|auto`
-//! axis threaded through [`crate::Schedule`] and
-//! [`crate::ctx::ThreadCtx`] — which resolves to an [`ActiveKernel`]
-//! once per run.
+//! The coloring kernels are the scalar first-fit loops of
+//! [`crate::forbidden`], [`crate::vertex`], [`crate::net`] and
+//! [`crate::d2gc`]; there is no vector tier. This module only reports
+//! which vector extensions the host has, so `BENCH_*.json` runs stay
+//! comparable across machines.
 
-use crate::color::{Color, Colors, UNCOLORED};
-use crate::forbidden::WordEntry;
-
-/// Requested kernel implementation — the `--kernel` axis.
-///
-/// `Simd` *requests* vectorization but still degrades to the widest tier
-/// the CPU actually has (scalar on non-x86-64); `Auto` is the same policy
-/// spelled as a default. Forcing `Scalar` pins the executable-spec loops,
-/// which is what the differential oracle and the bench baseline use.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum KernelImpl {
-    /// Force the scalar spec loops everywhere.
-    Scalar,
-    /// Use the widest vector tier the CPU supports (scalar fallback
-    /// elsewhere).
-    Simd,
-    /// Same resolution as [`KernelImpl::Simd`]; the default, so unpinned
-    /// runs get the fast path without opting in.
-    #[default]
-    Auto,
-}
-
-impl KernelImpl {
-    /// All axis values, for benchmark/test matrices.
-    pub fn all() -> [KernelImpl; 3] {
-        [KernelImpl::Scalar, KernelImpl::Simd, KernelImpl::Auto]
-    }
-
-    /// Stable label used in CLI flags and benchmark records.
-    pub fn label(self) -> &'static str {
-        match self {
-            KernelImpl::Scalar => "scalar",
-            KernelImpl::Simd => "simd",
-            KernelImpl::Auto => "auto",
-        }
-    }
-
-    /// Parses a label (accepts `scalar`, `simd`/`vector`, `auto`).
-    pub fn from_name(name: &str) -> Option<KernelImpl> {
-        match name {
-            "scalar" => Some(KernelImpl::Scalar),
-            "simd" | "vector" => Some(KernelImpl::Simd),
-            "auto" => Some(KernelImpl::Auto),
-            _ => None,
-        }
-    }
-
-    /// Resolves the request against the running CPU, once per run.
-    ///
-    /// `is_x86_feature_detected!` caches its CPUID probe, so calling this
-    /// per `ThreadCtx` costs one relaxed load.
-    pub fn resolve(self) -> ActiveKernel {
-        match self {
-            KernelImpl::Scalar => ActiveKernel::Scalar,
-            KernelImpl::Simd | KernelImpl::Auto => widest_supported(),
-        }
-    }
-}
-
-impl std::fmt::Display for KernelImpl {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// The resolved dispatch tier a run actually executes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum ActiveKernel {
-    /// The executable-spec scalar loops.
-    #[default]
-    Scalar,
-    /// x86-64 baseline: packed first-fit word scan, scalar gathers.
-    Sse2,
-    /// 8-lane gathers + 2-word first-fit probes.
-    Avx2,
-}
-
-impl ActiveKernel {
-    /// Stable label stamped into traces and benchmark records.
-    pub fn label(self) -> &'static str {
-        match self {
-            ActiveKernel::Scalar => "scalar",
-            ActiveKernel::Sse2 => "sse2",
-            ActiveKernel::Avx2 => "avx2",
-        }
-    }
-
-    /// Whether any vectorized path is active.
-    #[inline]
-    pub fn is_vector(self) -> bool {
-        !matches!(self, ActiveKernel::Scalar)
-    }
-
-    /// Whether the 8-lane color-gather paths (forbidden-mark, conflict
-    /// sweep) are available. SSE2 lacks a gather instruction, so only the
-    /// first-fit word scan is vectorized at that tier.
-    #[inline]
-    pub fn has_gather(self) -> bool {
-        matches!(self, ActiveKernel::Avx2)
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-fn widest_supported() -> ActiveKernel {
-    if std::arch::is_x86_feature_detected!("avx2") {
-        ActiveKernel::Avx2
-    } else {
-        // SSE2 is architecturally guaranteed on x86-64.
-        ActiveKernel::Sse2
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-fn widest_supported() -> ActiveKernel {
-    ActiveKernel::Scalar
-}
-
-/// Comma-separated ISA feature string stamped into `BENCH_*.json` so runs
-/// are comparable across machines: `"sse2,avx2"`, `"sse2"`, or `"scalar"`.
+/// Comma-separated ISA feature string stamped into `BENCH_*.json`:
+/// `"sse2,avx2"`, `"sse2"`, or `"scalar"` off x86-64.
 pub fn isa_features() -> &'static str {
-    match widest_supported() {
-        ActiveKernel::Avx2 => "sse2,avx2",
-        ActiveKernel::Sse2 => "sse2",
-        ActiveKernel::Scalar => "scalar",
-    }
-}
-
-/// Lane width of the 32-bit gather paths; pin lists shorter than this go
-/// straight to the scalar spec loop.
-pub(crate) const GATHER_LANES: usize = 8;
-
-// ---------------------------------------------------------------------------
-// First-fit over BitStampSet words
-// ---------------------------------------------------------------------------
-
-/// The word covering colors `64*wi..64*wi+64`, reading stale and
-/// out-of-range words as empty — the same contract as
-/// `BitStampSet::live_word`.
-#[inline]
-fn live_word(entries: &[WordEntry], mark: u64, wi: usize) -> u64 {
-    match entries.get(wi) {
-        Some(e) if e.stamp == mark => e.bits,
-        _ => 0,
-    }
-}
-
-/// Scalar multi-word scan from word `wi` (no sub-word mask) — the spec
-/// tail shared by every tier.
-fn scalar_scan(entries: &[WordEntry], mark: u64, mut wi: usize) -> Color {
-    let mut forbidden = live_word(entries, mark, wi);
-    // Terminates: words past the backing array read as empty.
-    while forbidden == u64::MAX {
-        wi += 1;
-        forbidden = live_word(entries, mark, wi);
-    }
-    (wi * 64 + forbidden.trailing_ones() as usize) as Color
-}
-
-/// Vectorized first-fit over interleaved `[stamp, bits]` word entries:
-/// smallest color `≥ from` whose bit is clear in the live bitmap.
-///
-/// Must agree exactly with `BitStampSet::first_fit_from` under
-/// [`ActiveKernel::Scalar`] — the partial leading word is always handled
-/// by the scalar spec, then SSE2/AVX2 tiers scan 1/2 full words per probe
-/// with a packed stamp-compare instead of a per-word branch.
-#[inline]
-pub(crate) fn first_fit_words(
-    entries: &[WordEntry],
-    mark: u64,
-    from: Color,
-    kernel: ActiveKernel,
-) -> Color {
-    debug_assert!(from >= 0);
-    let start = from as usize;
-    let wi = start / 64;
-    let first = live_word(entries, mark, wi) | ((1u64 << (start % 64)) - 1);
-    if first != u64::MAX {
-        return (wi * 64 + first.trailing_ones() as usize) as Color;
-    }
-    match kernel {
-        ActiveKernel::Scalar => scalar_scan(entries, mark, wi + 1),
-        // A vector probe needs at least one full block past the leading
-        // word to pay for the (non-inlinable `target_feature`) call; tiny
-        // scans go straight to the spec tail instead of eating pure
-        // dispatch overhead.
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `kernel` only resolves to these tiers when
-        // `widest_supported` confirmed the features at runtime.
-        ActiveKernel::Sse2 if entries.len() > wi + 2 => unsafe {
-            sse2_scan(entries, mark, wi + 1)
-        },
-        #[cfg(target_arch = "x86_64")]
-        ActiveKernel::Avx2 if entries.len() > wi + 4 => unsafe {
-            avx2_scan(entries, mark, wi + 1)
-        },
-        _ => scalar_scan(entries, mark, wi + 1),
-    }
-}
-
-// Both x86 tiers exploit the same exactness argument: a word with no free
-// color is *precisely* the 16-byte entry `[stamp = mark, bits = all-ones]`
-// — any other stamp reads as live = 0 (all colors free) and any other
-// bits value has a zero bit. The hot loop therefore needs only a packed
-// equality against that constant pattern; the first block that mismatches
-// is handed to the scalar spec tail, which pinpoints the free bit. That
-// keeps the dense-scan loop at one compare + one branch per block instead
-// of the stamp-mask/extract dance per word.
-
-/// SSE2 word scan: two 16-byte `[stamp, bits]` entries per iteration,
-/// full-pattern compare only (SSE2 has no 64-bit compare, but whole-entry
-/// equality falls out of `cmpeq_epi32` across all four lanes).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn sse2_scan(entries: &[WordEntry], mark: u64, mut wi: usize) -> Color {
-    use std::arch::x86_64::*;
-    let full_pat = _mm_set_epi64x(-1, mark as i64);
-    while wi + 1 < entries.len() {
-        // SAFETY: wi + 1 < entries.len() and WordEntry is repr(C) 16 bytes.
-        let v0 = _mm_loadu_si128(entries.as_ptr().add(wi) as *const __m128i);
-        let v1 = _mm_loadu_si128(entries.as_ptr().add(wi + 1) as *const __m128i);
-        let eq = _mm_and_si128(_mm_cmpeq_epi32(v0, full_pat), _mm_cmpeq_epi32(v1, full_pat));
-        if _mm_movemask_epi8(eq) != 0xFFFF {
-            break;
-        }
-        wi += 2;
-    }
-    // First mismatching block, odd tail, or past the array: the scalar
-    // spec walks at most two full words to the free bit.
-    scalar_scan(entries, mark, wi)
-}
-
-/// AVX2 word scan: four entries (256 colors) per iteration via two 32-byte
-/// loads whose full-pattern compares are ANDed into a single branch.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn avx2_scan(entries: &[WordEntry], mark: u64, mut wi: usize) -> Color {
-    use std::arch::x86_64::*;
-    // Lanes low→high: [stamp0, bits0, stamp1, bits1].
-    let full_pat = _mm256_set_epi64x(-1, mark as i64, -1, mark as i64);
-    while wi + 3 < entries.len() {
-        // SAFETY: wi + 3 < entries.len(), so both 32-byte loads cover two
-        // in-bounds repr(C) entries each.
-        let v0 = _mm256_loadu_si256(entries.as_ptr().add(wi) as *const __m256i);
-        let v1 = _mm256_loadu_si256(entries.as_ptr().add(wi + 2) as *const __m256i);
-        let eq = _mm256_and_si256(
-            _mm256_cmpeq_epi64(v0, full_pat),
-            _mm256_cmpeq_epi64(v1, full_pat),
-        );
-        if _mm256_movemask_epi8(eq) as u32 != u32::MAX {
-            break;
-        }
-        wi += 4;
-    }
-    // First mismatching block or the ≤3-entry tail: the scalar spec walks
-    // at most four full words to the free bit.
-    scalar_scan(entries, mark, wi)
-}
-
-// ---------------------------------------------------------------------------
-// Gather paths over the shared color array
-// ---------------------------------------------------------------------------
-//
-// The gathers read the racing `Colors` array through a raw pointer (see
-// `Colors::as_ptr`): each lane is an aligned 32-bit read, equivalent to
-// the relaxed atomic loads of the scalar spec. Stale values are expected
-// and repaired by the conflict phase, exactly as in the scalar loops.
-
-/// Counter sink for the vectorized sweeps, flushed by the kernels into
-/// [`trace::Counter`] sheets once per chunk.
-#[derive(Default, Clone, Copy)]
-pub(crate) struct VecStats {
-    /// Forbidden-set inserts issued (matches the scalar probe counter).
-    pub probes: u64,
-    /// Software prefetches issued (colors + forbidden-set words).
-    pub prefetches: u64,
-    /// 8-lane vector blocks executed ([`trace::Counter::SimdPathHits`]).
-    pub blocks: u64,
-}
-
-/// Vectorized forbidden-mark gather over one pin list: for every pin
-/// `u != skip` whose color is assigned, inserts that color into `fb`.
-/// Pass `u32::MAX` as `skip` to mark unconditionally.
-///
-/// Exactly equivalent to the scalar spec loop (insert order differs, but
-/// forbidden sets are order-insensitive); only call when
-/// [`ActiveKernel::has_gather`] — callers keep the scalar loop as the
-/// other arm of the branch.
-///
-/// Pins must index into `colors` (a graph invariant for adjacency lists).
-pub(crate) fn gather_mark<F: crate::ForbiddenSet>(
-    colors: &Colors,
-    pins: &[u32],
-    skip: u32,
-    fb: &mut F,
-    stats: &mut VecStats,
-) {
-    debug_assert!(pins.iter().all(|&u| (u as usize) < colors.len()));
     #[cfg(target_arch = "x86_64")]
-    // SAFETY: has_gather() implies AVX2 was runtime-detected; pins are
-    // in-bounds per the debug_assert'd graph invariant.
-    unsafe {
-        gather_mark_avx2(colors.as_ptr(), pins, skip, fb, stats);
+    {
+        // SSE2 is architecturally guaranteed on x86-64.
+        if std::arch::is_x86_feature_detected!("avx2") {
+            "sse2,avx2"
+        } else {
+            "sse2"
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
-        // Unreachable in practice (has_gather() is never true here); keep
-        // the scalar spec so the call site compiles on every arch.
-        for &u in pins {
-            if u != skip {
-                let cu = colors.get(u as usize);
-                if cu != UNCOLORED {
-                    fb.insert(cu);
-                    stats.probes += 1;
-                }
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_mark_avx2<F: crate::ForbiddenSet>(
-    base: *const i32,
-    pins: &[u32],
-    skip: u32,
-    fb: &mut F,
-    stats: &mut VecStats,
-) {
-    use std::arch::x86_64::*;
-    let skipv = _mm256_set1_epi32(skip as i32);
-    let unc = _mm256_set1_epi32(UNCOLORED);
-    let mut buf = [0i32; GATHER_LANES];
-    let mut k = 0;
-    while k + GATHER_LANES <= pins.len() {
-        // Prefetch the next block's color words — the forbidden-mark
-        // source — one block ahead of the gather.
-        if k + 2 * GATHER_LANES <= pins.len() {
-            for &p in &pins[k + GATHER_LANES..k + 2 * GATHER_LANES] {
-                sparse::prefetch::prefetch_ptr(base.add(p as usize));
-            }
-            stats.prefetches += GATHER_LANES as u64;
-        }
-        // SAFETY: 8 in-bounds u32 indices; every gathered address is
-        // base + pin, in-bounds by the caller's invariant.
-        let idx = _mm256_loadu_si256(pins.as_ptr().add(k) as *const __m256i);
-        let cols = _mm256_i32gather_epi32::<4>(base, idx);
-        let drop = _mm256_or_si256(
-            _mm256_cmpeq_epi32(cols, unc),
-            _mm256_cmpeq_epi32(idx, skipv),
-        );
-        let mut keep =
-            !(_mm256_movemask_ps(_mm256_castsi256_ps(drop)) as u32) & 0xFF;
-        stats.blocks += 1;
-        if keep != 0 {
-            _mm256_storeu_si256(buf.as_mut_ptr() as *mut __m256i, cols);
-            // Hint the forbidden-set words these colors land in before the
-            // insert sub-loop touches them (satellite: prefetch the
-            // forbidden-set words, not just the adjacency).
-            let mut m = keep;
-            while m != 0 {
-                fb.prefetch_word(buf[m.trailing_zeros() as usize]);
-                stats.prefetches += 1;
-                m &= m - 1;
-            }
-            while keep != 0 {
-                fb.insert(buf[keep.trailing_zeros() as usize]);
-                stats.probes += 1;
-                keep &= keep - 1;
-            }
-        }
-        k += GATHER_LANES;
-    }
-    // Scalar spec tail.
-    for &u in &pins[k..] {
-        if u != skip {
-            // SAFETY: in-bounds aligned 32-bit read (see module note on
-            // the racing color array).
-            let cu = *base.add(u as usize);
-            if cu != UNCOLORED {
-                fb.insert(cu);
-                stats.probes += 1;
-            }
-        }
-    }
-}
-
-/// Vectorized conflict sweep: `true` iff some pin `u < wv` currently
-/// holds color `cw` — the inner test of Algorithm 5 over one pin list.
-///
-/// Only call when [`ActiveKernel::has_gather`]; same answer as the scalar
-/// `any` loop (the scalar spec stops at the first hit, the vector path
-/// merely reads a few extra lanes of the racing array).
-pub(crate) fn conflict_in_pins(
-    colors: &Colors,
-    pins: &[u32],
-    wv: u32,
-    cw: Color,
-    stats: &mut VecStats,
-) -> bool {
-    debug_assert!(pins.iter().all(|&u| (u as usize) < colors.len()));
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: has_gather() implies AVX2; pins are in-bounds.
-    unsafe {
-        conflict_avx2(colors.as_ptr(), pins, wv, cw, stats)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = stats;
-        pins.iter()
-            .any(|&u| u < wv && colors.get(u as usize) == cw)
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn conflict_avx2(
-    base: *const i32,
-    pins: &[u32],
-    wv: u32,
-    cw: Color,
-    stats: &mut VecStats,
-) -> bool {
-    use std::arch::x86_64::*;
-    // Unsigned `u < wv` via the sign-bias trick on the signed compare.
-    let bias = _mm256_set1_epi32(i32::MIN);
-    let wvv = _mm256_set1_epi32((wv as i32) ^ i32::MIN);
-    let cwv = _mm256_set1_epi32(cw);
-    let mut k = 0;
-    while k + GATHER_LANES <= pins.len() {
-        // SAFETY: 8 in-bounds indices; gathered addresses in-bounds.
-        let idx = _mm256_loadu_si256(pins.as_ptr().add(k) as *const __m256i);
-        let cols = _mm256_i32gather_epi32::<4>(base, idx);
-        let lower = _mm256_cmpgt_epi32(wvv, _mm256_xor_si256(idx, bias));
-        let hit = _mm256_and_si256(lower, _mm256_cmpeq_epi32(cols, cwv));
-        stats.blocks += 1;
-        if _mm256_movemask_epi8(hit) != 0 {
-            return true;
-        }
-        k += GATHER_LANES;
-    }
-    pins[k..].iter().any(|&u| {
-        // SAFETY: in-bounds aligned 32-bit read.
-        u < wv && *base.add(u as usize) == cw
-    })
-}
-
-/// Batched color gather for the net-based marking pass: fills `out` with
-/// `colors[pins[j]]` for every pin, so the (read-only) marking logic can
-/// run over a local buffer.
-///
-/// Only valid for passes that do not write `colors` between the gather
-/// and the last use of `out` on this thread — true for Algorithm 8's
-/// marking pass, *not* for the conflict-removal pass (which clears colors
-/// mid-scan and would diverge from the spec on duplicate pins).
-pub(crate) fn gather_colors(
-    colors: &Colors,
-    pins: &[u32],
-    out: &mut Vec<Color>,
-    stats: &mut VecStats,
-) {
-    debug_assert!(pins.iter().all(|&u| (u as usize) < colors.len()));
-    out.clear();
-    out.reserve(pins.len());
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: has_gather() implies AVX2; pins are in-bounds.
-    unsafe {
-        gather_colors_avx2(colors.as_ptr(), pins, out, stats);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = stats;
-        out.extend(pins.iter().map(|&u| colors.get(u as usize)));
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_colors_avx2(
-    base: *const i32,
-    pins: &[u32],
-    out: &mut Vec<Color>,
-    stats: &mut VecStats,
-) {
-    use std::arch::x86_64::*;
-    let mut buf = [0i32; GATHER_LANES];
-    let mut k = 0;
-    while k + GATHER_LANES <= pins.len() {
-        // SAFETY: 8 in-bounds indices; gathered addresses in-bounds.
-        let idx = _mm256_loadu_si256(pins.as_ptr().add(k) as *const __m256i);
-        let cols = _mm256_i32gather_epi32::<4>(base, idx);
-        _mm256_storeu_si256(buf.as_mut_ptr() as *mut __m256i, cols);
-        out.extend_from_slice(&buf);
-        stats.blocks += 1;
-        k += GATHER_LANES;
-    }
-    for &u in &pins[k..] {
-        // SAFETY: in-bounds aligned 32-bit read.
-        out.push(*base.add(u as usize));
+        "scalar"
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BitStampSet;
 
     #[test]
-    fn labels_roundtrip() {
-        for k in KernelImpl::all() {
-            assert_eq!(KernelImpl::from_name(k.label()), Some(k));
-            assert_eq!(k.to_string(), k.label());
-        }
-        assert_eq!(KernelImpl::from_name("vector"), Some(KernelImpl::Simd));
-        assert_eq!(KernelImpl::from_name("bogus"), None);
-        assert_eq!(KernelImpl::default(), KernelImpl::Auto);
-    }
-
-    #[test]
-    fn scalar_request_always_resolves_scalar() {
-        assert_eq!(KernelImpl::Scalar.resolve(), ActiveKernel::Scalar);
-        assert!(!ActiveKernel::Scalar.is_vector());
-        assert!(!ActiveKernel::Scalar.has_gather());
-    }
-
-    #[test]
-    fn resolution_is_stable_and_consistent_with_isa_string() {
-        let k = KernelImpl::Auto.resolve();
-        assert_eq!(k, KernelImpl::Simd.resolve());
-        match k {
-            ActiveKernel::Avx2 => assert_eq!(isa_features(), "sse2,avx2"),
-            ActiveKernel::Sse2 => assert_eq!(isa_features(), "sse2"),
-            ActiveKernel::Scalar => assert_eq!(isa_features(), "scalar"),
-        }
-    }
-
-    /// On non-x86-64, the scalar fallback must be the only resolution —
-    /// this is the cfg-gated acceptance check for the fallback arches.
-    #[cfg(not(target_arch = "x86_64"))]
-    #[test]
-    fn non_x86_resolves_scalar() {
-        for k in KernelImpl::all() {
-            assert_eq!(k.resolve(), ActiveKernel::Scalar);
-        }
+    fn isa_string_is_a_known_stamp() {
+        assert!(["sse2,avx2", "sse2", "scalar"].contains(&isa_features()));
+        #[cfg(not(target_arch = "x86_64"))]
         assert_eq!(isa_features(), "scalar");
-    }
-
-    #[test]
-    fn first_fit_tiers_agree_on_dense_prefix() {
-        // 0..N all forbidden: the scan must cross many full words.
-        for n in [1usize, 63, 64, 65, 127, 128, 129, 200, 512] {
-            let mut s = BitStampSet::with_capacity(n + 64);
-            s.advance();
-            for c in 0..n as Color {
-                s.insert(c);
-            }
-            for from in [0, 1, 62, 63, 64, 65, 127, 128, n as Color] {
-                let want = first_fit_words(s.raw_entries(), s.raw_mark(), from, ActiveKernel::Scalar);
-                for k in [KernelImpl::Scalar.resolve(), KernelImpl::Simd.resolve()] {
-                    assert_eq!(
-                        first_fit_words(s.raw_entries(), s.raw_mark(), from, k),
-                        want,
-                        "n={n} from={from} kernel={}",
-                        k.label()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gather_paths_match_scalar_spec() {
-        let colors = Colors::new(64);
-        for u in 0..64 {
-            if u % 3 != 0 {
-                colors.set(u, (u % 7) as Color);
-            }
-        }
-        let pins: Vec<u32> = (0..64).rev().collect();
-        let mut stats = VecStats::default();
-
-        // gather_mark vs the scalar loop, with and without a skip pin.
-        for skip in [u32::MAX, 5, 63] {
-            let mut vec_fb = BitStampSet::with_capacity(64);
-            vec_fb.advance();
-            gather_mark(&colors, &pins, skip, &mut vec_fb, &mut stats);
-            let mut ref_fb = BitStampSet::with_capacity(64);
-            ref_fb.advance();
-            for &u in &pins {
-                if u != skip {
-                    let cu = colors.get(u as usize);
-                    if cu != UNCOLORED {
-                        ref_fb.insert(cu);
-                    }
-                }
-            }
-            for c in 0..16 {
-                assert_eq!(vec_fb.contains(c), ref_fb.contains(c), "skip={skip} c={c}");
-            }
-        }
-
-        // conflict_in_pins vs the scalar any-loop.
-        for wv in [0u32, 7, 33, 64] {
-            for cw in 0..8 {
-                let want = pins.iter().any(|&u| u < wv && colors.get(u as usize) == cw);
-                assert_eq!(
-                    conflict_in_pins(&colors, &pins, wv, cw, &mut stats),
-                    want,
-                    "wv={wv} cw={cw}"
-                );
-            }
-        }
-
-        // gather_colors vs direct loads.
-        let mut out = Vec::new();
-        gather_colors(&colors, &pins, &mut out, &mut stats);
-        let want: Vec<Color> = pins.iter().map(|&u| colors.get(u as usize)).collect();
-        assert_eq!(out, want);
     }
 }

@@ -1,5 +1,5 @@
-//! Tunable kernel constants, collected next to the SIMD dispatch so the
-//! autotuning engine ([`crate::engine`]) has one place to sweep.
+//! Tunable kernel constants, collected so the autotuning engine
+//! ([`crate::engine`]) has one place to sweep.
 //!
 //! Everything here is a *hint* knob: changing a value may shift
 //! performance but never changes any coloring result — the property that
@@ -9,11 +9,6 @@
 /// the next vertex's adjacency row. The queue entries are random vertex
 /// ids, so without the hint every `nets(w)` access is a cold indirect
 /// load; four items covers the gather latency without thrashing L1.
-///
-/// The vectorized gather path additionally prefetches the *color words*
-/// one [`crate::simd`] block ahead and the forbidden-set words of each
-/// gathered block (see `BitStampSet::prefetch_word`) — adjacency, marks
-/// source, and mark destination are all hinted.
 pub const PREFETCH_AHEAD: usize = 4;
 
 /// Neighborhood size (max net size for BGPC, max degree for D2GC) above

@@ -11,11 +11,10 @@ use sparse::CsrIndex;
 
 use crate::ctx::ThreadCtx;
 use crate::forbidden::ForbiddenSet;
-use crate::simd;
 use crate::workqueue::{merge_local_queues, SharedQueue};
 use crate::{Balance, Colors, UNCOLORED};
 
-// Hoisted to the tunable-constant module next to the SIMD dispatch; the
+// Hoisted to the tunable-constant module; the
 // re-export keeps the historical `vertex::PREFETCH_AHEAD` path working for
 // the sequential and D2GC kernels.
 pub(crate) use crate::tuning::PREFETCH_AHEAD;
@@ -47,11 +46,6 @@ pub fn color_workqueue_vertex<F: ForbiddenSet, I: CsrIndex>(
             // `trace::COMPILED` constant folds them away entirely.
             let mut probes = 0u64;
             let mut prefetches = 0u64;
-            let mut vstats = simd::VecStats::default();
-            // Resolved once per chunk: whether the vectorized gather path
-            // is available (AVX2 tier). Short pin lists stay scalar — the
-            // branch itself is the dispatch.
-            let vector = ctx.kernel.has_gather();
             for (k, &wv) in items.iter().enumerate() {
                 if let Some(&next) = items.get(k + PREFETCH_AHEAD) {
                     g.prefetch_nets(next as usize);
@@ -69,18 +63,13 @@ pub fn color_workqueue_vertex<F: ForbiddenSet, I: CsrIndex>(
                             prefetches += 1;
                         }
                     }
-                    let pins = g.vtxs(v as usize);
-                    if vector && pins.len() >= simd::GATHER_LANES {
-                        simd::gather_mark(colors, pins, wv, &mut ctx.fb, &mut vstats);
-                    } else {
-                        for &u in pins {
-                            if u != wv {
-                                let cu = colors.get(u as usize);
-                                if cu != UNCOLORED {
-                                    ctx.fb.insert(cu);
-                                    if trace::COMPILED {
-                                        probes += 1;
-                                    }
+                    for &u in g.vtxs(v as usize) {
+                        if u != wv {
+                            let cu = colors.get(u as usize);
+                            if cu != UNCOLORED {
+                                ctx.fb.insert(cu);
+                                if trace::COMPILED {
+                                    probes += 1;
                                 }
                             }
                         }
@@ -93,9 +82,8 @@ pub fn color_workqueue_vertex<F: ForbiddenSet, I: CsrIndex>(
                 if let Some(r) = rec {
                     let mut local = trace::CounterSheet::new();
                     local.add(trace::Counter::VerticesColored, items.len() as u64);
-                    local.add(trace::Counter::ForbiddenProbes, probes + vstats.probes);
-                    local.add(trace::Counter::PrefetchIssues, prefetches + vstats.prefetches);
-                    local.add(trace::Counter::SimdPathHits, vstats.blocks);
+                    local.add(trace::Counter::ForbiddenProbes, probes);
+                    local.add(trace::Counter::PrefetchIssues, prefetches);
                     r.merge(tid, &local);
                 }
             }
@@ -133,8 +121,6 @@ pub fn remove_conflicts_vertex<F: ForbiddenSet, I: CsrIndex>(
             let items = &w[range];
             let mut conflicts = 0u64;
             let mut prefetches = 0u64;
-            let mut vstats = simd::VecStats::default();
-            let vector = ctx.kernel.has_gather();
             for (k, &wv) in items.iter().enumerate() {
                 if let Some(&next) = items.get(k + PREFETCH_AHEAD) {
                     g.prefetch_nets(next as usize);
@@ -147,12 +133,7 @@ pub fn remove_conflicts_vertex<F: ForbiddenSet, I: CsrIndex>(
                 debug_assert_ne!(cw, UNCOLORED, "conflict scan on uncolored vertex");
                 'detect: for &v in g.nets(wu) {
                     let pins = g.vtxs(v as usize);
-                    let hit = if vector && pins.len() >= simd::GATHER_LANES {
-                        simd::conflict_in_pins(colors, pins, wv, cw, &mut vstats)
-                    } else {
-                        pins.iter().any(|&u| u < wv && colors.get(u as usize) == cw)
-                    };
-                    if hit {
+                    if pins.iter().any(|&u| u < wv && colors.get(u as usize) == cw) {
                         match eager {
                             Some(q) => q.push_staged(&mut ctx.stage, wv),
                             None => ctx.local_queue.push(wv),
@@ -168,8 +149,7 @@ pub fn remove_conflicts_vertex<F: ForbiddenSet, I: CsrIndex>(
                 if let Some(r) = rec {
                     let mut local = trace::CounterSheet::new();
                     local.add(trace::Counter::ConflictsDetected, conflicts);
-                    local.add(trace::Counter::PrefetchIssues, prefetches + vstats.prefetches);
-                    local.add(trace::Counter::SimdPathHits, vstats.blocks);
+                    local.add(trace::Counter::PrefetchIssues, prefetches);
                     r.merge(tid, &local);
                 }
             }

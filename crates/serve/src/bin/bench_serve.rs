@@ -251,9 +251,9 @@ fn main() {
     json.push_str(&format!("  \"requested_threads\": {},\n", args.threads));
     json.push_str(&format!("  \"pool_workers\": {pool_workers},\n"));
     json.push_str(&format!("  \"host_threads\": {host_threads},\n"));
-    // ISA features the coloring kernels dispatched on, and whether the
-    // daemon's pool was pinned (it never is — affinity is a bench/CLI
-    // axis, not a service default) — stamped so BENCH_serve.json rows
+    // The host's ISA features, and whether the daemon's pool was pinned
+    // (it never is — affinity is a bench/CLI axis, not a service
+    // default) — stamped so BENCH_serve.json rows
     // are comparable across hosts like BENCH_coloring.json ones.
     json.push_str(&format!("  \"isa\": \"{}\",\n", bgpc::simd::isa_features()));
     json.push_str("  \"pinned\": false,\n");

@@ -238,9 +238,7 @@ mod tests {
     fn sample() -> CachedColoring {
         CachedColoring {
             num_colors: 3,
-            config: "schedule=N1-N2 sched=dynamic width=u32 relabel=none kernel=auto \
-                     forbidden=auto"
-                .into(),
+            config: "schedule=N1-N2 sched=dynamic width=u32 relabel=none forbidden=auto".into(),
             colors: vec![0, 1, 2, 0, 1],
         }
     }

@@ -30,32 +30,6 @@ pub fn prefetch_read<T>(slice: &[T], idx: usize) {
     }
 }
 
-/// Hints that the cache line behind `ptr` will be read soon.
-///
-/// The raw-pointer variant for callers that already hold an in-bounds
-/// address (the vectorized gather kernels hint `colors[pin]` for the next
-/// lane block). The pointer must lie within (or one past) a live
-/// allocation — prefetching has no observable effect besides cache state,
-/// but wild addresses are still UB to form. Compiles to `prefetcht0` on
-/// x86-64 and to nothing elsewhere.
-#[inline(always)]
-pub fn prefetch_ptr<T>(ptr: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: caller guarantees the pointer is derived from a live
-        // allocation; the intrinsic itself never faults.
-        unsafe {
-            core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                ptr as *const i8,
-            );
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = ptr;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,6 +41,5 @@ mod tests {
             prefetch_read(&data, i);
         }
         prefetch_read::<u64>(&[], 0);
-        prefetch_ptr(data.as_ptr());
     }
 }

@@ -21,9 +21,6 @@ pub enum Counter {
     ForbiddenProbes,
     /// Software prefetch hints issued by the gather loops.
     PrefetchIssues,
-    /// 8-lane vector blocks executed by the SIMD gather/conflict kernels
-    /// (zero under `--kernel scalar` or when pin lists are too short).
-    SimdPathHits,
     /// Steals won from a victim in the thief's near tier (same physical
     /// core/package under the topology model). Subset of `StealsWon`.
     StealsNear,
@@ -36,7 +33,7 @@ pub enum Counter {
 
 impl Counter {
     /// Number of distinct counters (the sheet's array length).
-    pub const COUNT: usize = 11;
+    pub const COUNT: usize = 10;
 
     /// All counters, in sheet order.
     pub const ALL: [Counter; Counter::COUNT] = [
@@ -47,7 +44,6 @@ impl Counter {
         Counter::ConflictsDetected,
         Counter::ForbiddenProbes,
         Counter::PrefetchIssues,
-        Counter::SimdPathHits,
         Counter::StealsNear,
         Counter::StealsFar,
         Counter::BusyNs,
@@ -63,7 +59,6 @@ impl Counter {
             Counter::ConflictsDetected => "conflicts_detected",
             Counter::ForbiddenProbes => "forbidden_probes",
             Counter::PrefetchIssues => "prefetch_issues",
-            Counter::SimdPathHits => "simd_path_hits",
             Counter::StealsNear => "steals_near",
             Counter::StealsFar => "steals_far",
             Counter::BusyNs => "busy_ns",

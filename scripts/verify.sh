@@ -54,22 +54,13 @@ CHECK_SEED="${CHECK_SEED:-20260806}"
 ./target/release/check_smoke --seed "$CHECK_SEED" --cases 200
 step_end "check-smoke"
 
-step_begin "check smoke: forced --kernel scalar / --kernel simd sweeps"
-# The same seeded oracle instances with the forbidden-set kernel axis
-# pinned to each side of the scalar ≡ simd contract: any divergence
-# between the spec loops and the vectorized kernels fails tier-1 here
-# even on hosts where the random axis draw would rarely pick one side.
-./target/release/check_smoke --seed "$CHECK_SEED" --cases 60 --kernel scalar
-./target/release/check_smoke --seed "$CHECK_SEED" --cases 60 --kernel simd
-step_end "check-smoke-kernels"
-
 step_begin "check smoke: --delta incremental-recoloring differential oracle"
 # Randomized mutation batches against randomized base instances, for both
 # problems: apply_delta exactness (inserted edges present, deleted absent,
 # everything else untouched), dirty-set recoloring verified on the mutated
 # graph with no base-vertex degradation, the documented quality bound for
 # unbalanced schedules, empty-delta identity, and the one-thread battery
-# (determinism, forbidden-set/width/kernel equivalence).
+# (determinism, forbidden-set/width equivalence).
 ./target/release/check_smoke --seed "$CHECK_SEED" --cases 120 --delta
 step_end "check-smoke-delta"
 
@@ -263,3 +254,5 @@ shard_cleanup
 step_end "shard-smoke"
 
 echo "verify: OK"
+# Informational, not a gate: total Rust LOC for the CHANGES.md entry.
+echo "-- rust LOC (crates src tests examples): $(./scripts/loc.sh)"
