@@ -1,5 +1,5 @@
-//! End-to-end coloring benchmark: per-schedule wall times plus a
-//! forbidden-set micro comparison, emitted as `BENCH_coloring.json`.
+//! End-to-end coloring benchmark: per-schedule wall times, emitted as
+//! `BENCH_coloring.json`.
 //!
 //! Modes (mutually exclusive, `--quick` is the `scripts/bench.sh`
 //! default):
@@ -32,29 +32,10 @@ use std::time::Instant;
 use bench::json::to_string_pretty;
 use bench::to_json_struct;
 use bgpc::verify::{verify_bgpc, verify_d2gc};
-use bgpc::{
-    BitStampSet, CsrDelta, Engine, EngineConfig, ForbiddenSet, OnlineTuner, RunnerOpts,
-    Schedule, StampSet,
-};
+use bgpc::{CsrDelta, Engine, EngineConfig, OnlineTuner, RunnerOpts, Schedule};
 use graph::{BipartiteGraph, Graph, Ordering};
 use par::{Pool, Sched};
 use sparse::{Csr, CsrIndex, Dataset, IndexWidth, LocalityOrder};
-
-/// Micro comparison row: dense first-fit cost per call.
-struct MicroRecord {
-    /// Interval width (colors 0..colors−1 forbidden except the last).
-    colors: usize,
-    stamp_ns: f64,
-    bitstamp_ns: f64,
-    /// `stamp_ns / bitstamp_ns` — > 1 means the word-packed set wins.
-    speedup: f64,
-}
-to_json_struct!(MicroRecord {
-    colors,
-    stamp_ns,
-    bitstamp_ns,
-    speedup
-});
 
 /// One end-to-end schedule measurement.
 struct ScheduleRecord {
@@ -66,7 +47,6 @@ struct ScheduleRecord {
     /// Worker-thread count the pool actually spawned (can differ when the
     /// pool clamps the request; a warning is printed when it does).
     pool_workers: usize,
-    set_impl: String,
     /// Row-pointer width the run used (`u32` or `u64`).
     index_width: String,
     /// Locality relabeling applied before coloring (`none`/`degree`/`bfs`).
@@ -85,7 +65,6 @@ to_json_struct!(ScheduleRecord {
     schedule,
     threads,
     pool_workers,
-    set_impl,
     index_width,
     order,
     sched,
@@ -228,7 +207,6 @@ struct BenchReport {
     /// Whether the measurement pools were pinned core-major (`--pin` and
     /// the affinity syscall succeeded).
     pinned: bool,
-    micro: Vec<MicroRecord>,
     schedules: Vec<ScheduleRecord>,
     /// Fastest swept config per (problem, dataset, threads) cell.
     oracle_best: Vec<OracleRecord>,
@@ -254,7 +232,6 @@ to_json_struct!(BenchReport {
     requested_threads,
     isa,
     pinned,
-    micro,
     schedules,
     oracle_best,
     autotune,
@@ -265,71 +242,25 @@ to_json_struct!(BenchReport {
 
 const SEED: u64 = 20170814;
 
-fn dense<F: ForbiddenSet>(colors: usize) -> F {
-    let mut fb = F::with_capacity(colors);
-    fb.advance();
-    for c in 0..colors as i32 - 1 {
-        fb.insert(c);
-    }
-    fb
-}
-
-/// Times `reps` first-fit calls on `fb`, returning nanoseconds per call
-/// (minimum over `samples` timed batches).
-fn time_first_fit<F: ForbiddenSet>(fb: &F, reps: usize, samples: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    let mut sink = 0i64;
-    for _ in 0..samples {
-        let t = Instant::now();
-        for _ in 0..reps {
-            sink += fb.first_fit_from(0) as i64;
-        }
-        best = best.min(t.elapsed().as_nanos() as f64 / reps as f64);
-    }
-    std::hint::black_box(sink);
-    best
-}
-
-fn micro_section(samples: usize) -> Vec<MicroRecord> {
-    let reps = 2000usize;
-    [256usize, 1024, 4096]
-        .iter()
-        .map(|&colors| {
-            let stamp: StampSet = dense(colors);
-            let bits: BitStampSet = dense(colors);
-            let stamp_ns = time_first_fit(&stamp, reps, samples);
-            let bitstamp_ns = time_first_fit(&bits, reps, samples);
-            MicroRecord {
-                colors,
-                stamp_ns,
-                bitstamp_ns,
-                speedup: stamp_ns / bitstamp_ns,
-            }
-        })
-        .collect()
-}
-
-/// Runs one schedule `reps` times with forbidden-set `F`, verifying every
-/// run; returns the record with the minimum wall time.
-#[allow(clippy::too_many_arguments)]
-fn run_bgpc<F: ForbiddenSet, I: CsrIndex>(
+/// Runs one schedule `reps` times, verifying every run; returns the
+/// record with the minimum wall time.
+fn run_bgpc<I: CsrIndex>(
     g: &BipartiteGraph<I>,
     order: &[u32],
     dataset: &str,
     schedule: &Schedule,
     pool: &Pool,
     threads: usize,
-    set_impl: &str,
     reps: usize,
 ) -> ScheduleRecord {
     let mut best_ms = f64::INFINITY;
     let mut num_colors = 0;
     let mut rounds = 0;
     for _ in 0..reps {
-        let r = bgpc::color_bgpc_with_set::<F, I>(g, order, schedule, pool, RunnerOpts::default());
+        let r = bgpc::color_bgpc(g, order, schedule, pool);
         if let Err(e) = verify_bgpc(g, &r.colors) {
             eprintln!(
-                "FATAL: invalid BGPC coloring ({dataset}, {}, {threads}t, {set_impl}): {e}",
+                "FATAL: invalid BGPC coloring ({dataset}, {}, {threads}t): {e}",
                 schedule.name()
             );
             std::process::exit(1);
@@ -347,7 +278,6 @@ fn run_bgpc<F: ForbiddenSet, I: CsrIndex>(
         schedule: schedule.name(),
         threads,
         pool_workers: pool.threads(),
-        set_impl: set_impl.into(),
         index_width: I::LABEL.into(),
         order: "none".into(),
         sched: schedule.sched.label().into(),
@@ -361,7 +291,7 @@ fn run_bgpc<F: ForbiddenSet, I: CsrIndex>(
 /// One axis-sweep measurement: colors the relabeled pattern `pm` at width
 /// `I`, maps the coloring back through `perm`, and verifies it against the
 /// *original* graph — the sweep cannot report a fast-but-wrong relabeled
-/// run. Uses the runner's per-instance forbidden-set dispatch.
+/// run.
 #[allow(clippy::too_many_arguments)]
 fn axis_record_bgpc<I: CsrIndex>(
     pm: &Csr<I>,
@@ -408,7 +338,6 @@ fn axis_record_bgpc<I: CsrIndex>(
         schedule: schedule.name(),
         threads,
         pool_workers: pool.threads(),
-        set_impl: "auto".into(),
         index_width: I::LABEL.into(),
         order: relabel.label().into(),
         sched: schedule.sched.label().into(),
@@ -466,7 +395,6 @@ fn axis_record_d2gc<I: CsrIndex>(
         schedule: schedule.name(),
         threads,
         pool_workers: pool.threads(),
-        set_impl: "auto".into(),
         index_width: I::LABEL.into(),
         order: relabel.label().into(),
         sched: schedule.sched.label().into(),
@@ -511,7 +439,6 @@ fn run_d2gc(
         schedule: schedule.name(),
         threads,
         pool_workers: pool.threads(),
-        set_impl: "BitStampSet".into(),
         index_width: "u32".into(),
         order: "none".into(),
         sched: schedule.sched.label().into(),
@@ -525,14 +452,9 @@ fn run_d2gc(
 /// Renders a sweep record's configuration in the engine table's config
 /// syntax, so `fit_engine` and the autotune comparison speak one format.
 fn record_config(r: &ScheduleRecord) -> String {
-    let forbidden = match r.set_impl.as_str() {
-        "BitStampSet" => "bitstamp",
-        "StampSet" => "stamp",
-        _ => "auto",
-    };
     format!(
-        "schedule={} sched={} width={} relabel={} forbidden={}",
-        r.schedule, r.sched, r.index_width, r.order, forbidden
+        "schedule={} sched={} width={} relabel={}",
+        r.schedule, r.sched, r.index_width, r.order
     )
 }
 
@@ -958,13 +880,12 @@ fn main() {
     // Report pinning as on only when the affinity syscall actually took.
     let pinned = pin && mk_pool(1).pinned();
 
-    let (scale, reps, threads, bgpc_sets, d2gc_sets, micro_samples): (
+    let (scale, reps, threads, bgpc_sets, d2gc_sets): (
         f64,
         usize,
         Vec<usize>,
         Vec<Dataset>,
         Vec<Dataset>,
-        usize,
     ) = match mode {
         "smoke" => (
             0.002,
@@ -972,7 +893,6 @@ fn main() {
             vec![1, 2],
             vec![Dataset::CoPapersDblp],
             vec![Dataset::Nlpkkt120],
-            3,
         ),
         "quick" => (
             0.004,
@@ -985,7 +905,6 @@ fn main() {
                 Dataset::Bone010,
             ],
             vec![Dataset::Nlpkkt120],
-            10,
         ),
         _ => (
             0.01,
@@ -998,7 +917,6 @@ fn main() {
                 Dataset::Bone010,
             ],
             vec![Dataset::Nlpkkt120, Dataset::Channel],
-            20,
         ),
     };
 
@@ -1015,15 +933,6 @@ fn main() {
         "mode {mode}: scale {scale}, reps {reps}, threads {threads:?}, isa {}, pinned {pinned}",
         bgpc::simd::isa_features()
     );
-    let micro = micro_section(micro_samples);
-    for m in &micro {
-        eprintln!(
-            "  micro first_fit dense {} colors: StampSet {:.1} ns, BitStampSet {:.1} ns \
-             ({:.2}x)",
-            m.colors, m.stamp_ns, m.bitstamp_ns, m.speedup
-        );
-    }
-
     let mut schedules = Vec::new();
     for dataset in &bgpc_sets {
         let inst = dataset.build(scale, SEED);
@@ -1032,28 +941,13 @@ fn main() {
         for &t in &threads {
             let pool = mk_pool(t);
             for schedule in Schedule::all() {
-                schedules.push(run_bgpc::<BitStampSet, _>(
+                schedules.push(run_bgpc(
                     &g,
                     &order,
                     dataset.name(),
                     &schedule,
                     &pool,
                     t,
-                    "BitStampSet",
-                    reps,
-                ));
-            }
-            // Representation ablation on the two headline schedules: the
-            // same driver with the per-color StampSet.
-            for schedule in [Schedule::v_v(), Schedule::n1_n2()] {
-                schedules.push(run_bgpc::<StampSet, _>(
-                    &g,
-                    &order,
-                    dataset.name(),
-                    &schedule,
-                    &pool,
-                    t,
-                    "StampSet",
                     reps,
                 ));
             }
@@ -1143,12 +1037,11 @@ fn main() {
 
     for s in &schedules {
         eprintln!(
-            "  {} {} {} {}t [{}/{}/{}/{}]: {:.3} ms, {} colors, {} rounds",
+            "  {} {} {} {}t [{}/{}/{}]: {:.3} ms, {} colors, {} rounds",
             s.problem,
             s.dataset,
             s.schedule,
             s.threads,
-            s.set_impl,
             s.index_width,
             s.order,
             s.sched,
@@ -1375,7 +1268,6 @@ fn main() {
         requested_threads: threads.clone(),
         isa: bgpc::simd::isa_features().into(),
         pinned,
-        micro,
         schedules,
         oracle_best,
         autotune: autotune_records,

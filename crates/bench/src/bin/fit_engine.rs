@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 
 use bgpc::engine::table::{render_default, ConfigSpec, EngineTable, TablePoint};
-use bgpc::{ForbiddenKind, InstanceFeatures, ProblemKind, Schedule};
+use bgpc::{InstanceFeatures, ProblemKind, Schedule};
 use graph::Graph;
 use par::Sched;
 use sparse::{Dataset, IndexWidth, LocalityOrder};
@@ -51,11 +51,18 @@ fn field_num(rec: &Json, key: &str, i: usize) -> Result<f64, String> {
 /// Decodes one `schedules` record into a row; errors name the offending
 /// field so a schema drift in the report fails loudly.
 ///
-/// Older reports carry a per-record `kernel` field from the removed
-/// vector kernel tier; rows whose kernel is not `scalar` timed code that
-/// no longer exists and decode to `None`.
+/// Older reports carry per-record fields from two removed axes: `kernel`
+/// (the vector kernel tier) and `set_impl` (the forbidden-set
+/// representation). Rows whose kernel is not `scalar`, or whose set was
+/// forced rather than `auto`, timed code that no longer exists and decode
+/// to `None`.
 fn decode_row(rec: &Json, i: usize) -> Result<Option<SweepRow>, String> {
-    if rec.get("kernel").and_then(Json::as_str).is_some_and(|k| k != "scalar") {
+    let removed = |key: &str, kept: &str| {
+        rec.get(key)
+            .and_then(Json::as_str)
+            .is_some_and(|v| v != kept)
+    };
+    if removed("kernel", "scalar") || removed("set_impl", "auto") {
         return Ok(None);
     }
     let problem = ProblemKind::from_name(field_str(rec, "problem", i)?)
@@ -64,7 +71,6 @@ fn decode_row(rec: &Json, i: usize) -> Result<Option<SweepRow>, String> {
     let sched = field_str(rec, "sched", i)?;
     let width = field_str(rec, "index_width", i)?;
     let order = field_str(rec, "order", i)?;
-    let set_impl = field_str(rec, "set_impl", i)?;
     let spec = ConfigSpec {
         schedule: Schedule::from_name(schedule)
             .ok_or_else(|| format!("schedules[{i}]: unknown schedule `{schedule}`"))?,
@@ -76,16 +82,6 @@ fn decode_row(rec: &Json, i: usize) -> Result<Option<SweepRow>, String> {
         ),
         relabel: LocalityOrder::from_name(order)
             .ok_or_else(|| format!("schedules[{i}]: unknown order `{order}`"))?,
-        // The forced-representation ablation rows name the set; axis rows
-        // say `auto` (runner dispatch), which the table keeps symbolic.
-        forbidden: if set_impl.eq_ignore_ascii_case("auto") {
-            None
-        } else {
-            Some(
-                ForbiddenKind::from_name(set_impl)
-                    .ok_or_else(|| format!("schedules[{i}]: unknown set_impl `{set_impl}`"))?,
-            )
-        },
     };
     Ok(Some(SweepRow {
         problem,
@@ -351,7 +347,6 @@ fn main() {
                 sched: Sched::Dynamic,
                 width: None,
                 relabel: LocalityOrder::None,
-                forbidden: None,
             })
     };
     let default_bgpc = default_for(ProblemKind::Bgpc);

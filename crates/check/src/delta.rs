@@ -28,17 +28,15 @@
 //!   returns the base coloring bit-identically in zero rounds.
 //! * **One-thread equivalences** — at one thread the incremental path
 //!   must be deterministic (run-twice identical) and agree across the
-//!   two forbidden-set representations and the two CSR index widths,
-//!   mirroring the main oracle's battery.
+//!   two CSR index widths, mirroring the main oracle's battery.
 //!
 //! Driven by `check_smoke --delta` (seeded sweep, standalone stage for
 //! `scripts/verify.sh`) and by the in-crate tests.
 
 use bgpc::verify::{verify_bgpc, verify_d2gc};
-use bgpc::incremental::{recolor_bgpc_incremental_with_set, recolor_d2gc_incremental_with_set};
 use bgpc::{
-    apply_delta, recolor_bgpc_incremental, recolor_d2gc_incremental, Balance, BitStampSet, Color,
-    CsrDelta, RunnerOpts, Schedule, StampSet,
+    apply_delta, recolor_bgpc_incremental, recolor_d2gc_incremental, Balance, Color, CsrDelta,
+    RunnerOpts, Schedule,
 };
 use graph::{BipartiteGraph, Graph};
 use par::Pool;
@@ -290,8 +288,8 @@ pub fn run_delta_bgpc_case(d: &mut impl Draw) -> Result<(), String> {
         ));
     }
 
-    // One-thread battery on the incremental path: determinism, the two
-    // forbidden-set representations, both index widths.
+    // One-thread battery on the incremental path: determinism and both
+    // index widths.
     let pool1 = Pool::new(1);
     let base1 = bgpc::color_bgpc(&g, &order, &schedule, &pool1);
     let opts = RunnerOpts::default();
@@ -302,18 +300,6 @@ pub fn run_delta_bgpc_case(d: &mut impl Draw) -> Result<(), String> {
         &g2, &base1.colors, dirty, &order2, &schedule, &pool1, opts.clone(),
     );
     same_colors(&a.colors, &b.colors, &format!("{label}: @1 run-twice"))?;
-
-    let stamp = recolor_bgpc_incremental_with_set::<StampSet, u32>(
-        &g2, &base1.colors, dirty, &order2, &schedule, &pool1, opts.clone(),
-    );
-    let bitstamp = recolor_bgpc_incremental_with_set::<BitStampSet, u32>(
-        &g2, &base1.colors, dirty, &order2, &schedule, &pool1, opts.clone(),
-    );
-    same_colors(
-        &stamp.colors,
-        &bitstamp.colors,
-        &format!("{label}: StampSet vs BitStampSet @1"),
-    )?;
 
     let m64 = applied.matrix.to_index::<u64>();
     let g64 = BipartiteGraph::from_matrix(&m64);
@@ -467,18 +453,6 @@ pub fn run_delta_d2gc_case(d: &mut impl Draw) -> Result<(), String> {
         &g2, &base1.colors, &dirty, &order2, &schedule, &pool1, opts.clone(),
     );
     same_colors(&a.colors, &b.colors, &format!("{label}: @1 run-twice"))?;
-
-    let stamp = recolor_d2gc_incremental_with_set::<StampSet, u32>(
-        &g2, &base1.colors, &dirty, &order2, &schedule, &pool1, opts.clone(),
-    );
-    let bitstamp = recolor_d2gc_incremental_with_set::<BitStampSet, u32>(
-        &g2, &base1.colors, &dirty, &order2, &schedule, &pool1, opts.clone(),
-    );
-    same_colors(
-        &stamp.colors,
-        &bitstamp.colors,
-        &format!("{label}: StampSet vs BitStampSet @1"),
-    )?;
 
     let m64 = applied.matrix.to_index::<u64>();
     let g64 = Graph::from_symmetric_matrix(&m64);

@@ -15,8 +15,8 @@
 //!   deliberately-buggy queue the explorer must catch (detection-power
 //!   self-test).
 //! * [`oracle`] — a differential oracle running every schedule,
-//!   balancer, chunk scheduler, forbidden-set representation and index
-//!   width against the sequential baseline on randomized instances,
+//!   balancer, chunk scheduler and index width against the sequential
+//!   baseline on randomized instances,
 //!   checking validity, determinism and color-count bounds.
 //! * [`autotune`] — the same standard applied to configurations the
 //!   auto-tuning engine *selects*: deterministic selection, schedule

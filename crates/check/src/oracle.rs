@@ -12,11 +12,10 @@
 //! * **Sequential equivalence** — at one thread, the `V-V` schedule (and
 //!   `V-V-64D` for D2GC) must reproduce the sequential greedy baseline
 //!   *exactly*: same order, same first-fit, no conflicts to repair.
-//! * **Implementation equivalences** — at one thread the two
-//!   forbidden-set representations ([`bgpc::StampSet`] vs
-//!   [`bgpc::BitStampSet`]), the two CSR index widths (`u32` vs `u64`)
-//!   and the two chunk schedulers ([`par::Sched::Dynamic`] vs
-//!   [`par::Sched::Stealing`]) must all produce identical colorings.
+//! * **Implementation equivalences** — at one thread the two CSR index
+//!   widths (`u32` vs `u64`) and the two chunk schedulers
+//!   ([`par::Sched::Dynamic`] vs [`par::Sched::Stealing`]) must produce
+//!   identical colorings.
 //! * **Determinism** — running the same configuration twice at one thread
 //!   must produce identical colorings.
 //! * **Color-count sanity** — never more colors than vertices, and for
@@ -32,9 +31,8 @@
 //! shrinking — a failing case is automatically minimized to the smallest
 //! choice stream that still fails.
 
-use bgpc::runner::RunnerOpts;
 use bgpc::verify::{verify_bgpc, verify_d2gc};
-use bgpc::{Balance, BitStampSet, Color, Schedule, StampSet};
+use bgpc::{Balance, Color, Schedule};
 use graph::{BipartiteGraph, Graph, Ordering};
 use par::{Pool, Sched};
 use rng::{split_mix64, Pcg32};
@@ -215,17 +213,6 @@ pub fn run_bgpc_case(d: &mut impl Draw) -> Result<(), String> {
     let b = bgpc::color_bgpc(&g, &order, &schedule, &pool1);
     same_colors(&a.colors, &b.colors, &format!("{label}: @1 run-twice"))?;
 
-    let opts = RunnerOpts::default();
-    let stamp =
-        bgpc::color_bgpc_with_set::<StampSet, u32>(&g, &order, &schedule, &pool1, opts.clone());
-    let bitstamp =
-        bgpc::color_bgpc_with_set::<BitStampSet, u32>(&g, &order, &schedule, &pool1, opts);
-    same_colors(
-        &stamp.colors,
-        &bitstamp.colors,
-        &format!("{label}: StampSet vs BitStampSet @1"),
-    )?;
-
     let m64 = m.to_index::<u64>();
     let g64 = BipartiteGraph::from_matrix(&m64);
     let wide = bgpc::color_bgpc(&g64, &order, &schedule, &pool1);
@@ -315,19 +302,6 @@ pub fn run_d2gc_case(d: &mut impl Draw) -> Result<(), String> {
     let a = bgpc::d2gc::runner::color_d2gc(&g, &order, &schedule, &pool1);
     let b = bgpc::d2gc::runner::color_d2gc(&g, &order, &schedule, &pool1);
     same_colors(&a.colors, &b.colors, &format!("{label}: @1 run-twice"))?;
-
-    let opts = RunnerOpts::default();
-    let stamp = bgpc::d2gc::runner::color_d2gc_with_set::<StampSet, u32>(
-        &g, &order, &schedule, &pool1, opts.clone(),
-    );
-    let bitstamp = bgpc::d2gc::runner::color_d2gc_with_set::<BitStampSet, u32>(
-        &g, &order, &schedule, &pool1, opts,
-    );
-    same_colors(
-        &stamp.colors,
-        &bitstamp.colors,
-        &format!("{label}: StampSet vs BitStampSet @1"),
-    )?;
 
     let m64 = m.to_index::<u64>();
     let g64 = Graph::from_symmetric_matrix(&m64);

@@ -251,7 +251,6 @@ impl ColorArgs {
             sched: self.explicit_sched.then_some(self.schedule.sched),
             relabel: self.explicit_relabel.then_some(self.relabel),
             index_width: self.index_width,
-            forbidden: None,
         }
     }
 }

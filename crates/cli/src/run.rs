@@ -115,54 +115,31 @@ fn load(input: &Input) -> Result<Csr, Failure> {
 }
 
 /// Runs the BGPC driver on an already-relabeled pattern at width `I`.
-/// `forbidden` forces the engine-chosen forbidden-set representation;
-/// `None` keeps the runner's per-instance dispatch.
 fn run_bgpc_width<I: CsrIndex>(
     m: Csr<I>,
     schedule: &Schedule,
     ordering: Ordering,
     pool: &Pool,
-    forbidden: Option<bgpc::ForbiddenKind>,
     opts: bgpc::RunnerOpts,
 ) -> Result<bgpc::ColoringResult, Failure> {
     let g = BipartiteGraph::try_from_matrix_owned(m)
         .map_err(|e| Failure::new(EXIT_GRAPH, e.to_string()))?;
     let order = ordering.vertex_order_bgpc(&g);
-    Ok(match forbidden {
-        Some(bgpc::ForbiddenKind::Stamp) => {
-            bgpc::color_bgpc_with_set::<bgpc::StampSet, I>(&g, &order, schedule, pool, opts)
-        }
-        Some(bgpc::ForbiddenKind::BitStamp) => {
-            bgpc::color_bgpc_with_set::<bgpc::BitStampSet, I>(&g, &order, schedule, pool, opts)
-        }
-        None => bgpc::color_bgpc_with_opts(&g, &order, schedule, pool, opts),
-    })
+    Ok(bgpc::color_bgpc_with_opts(&g, &order, schedule, pool, opts))
 }
 
-/// Runs the D2GC driver on an already-relabeled pattern at width `I`
-/// (same `forbidden` contract as [`run_bgpc_width`]).
+/// Runs the D2GC driver on an already-relabeled pattern at width `I`.
 fn run_d2gc_width<I: CsrIndex>(
     m: &Csr<I>,
     schedule: &Schedule,
     ordering: Ordering,
     pool: &Pool,
-    forbidden: Option<bgpc::ForbiddenKind>,
     opts: bgpc::RunnerOpts,
 ) -> Result<bgpc::ColoringResult, Failure> {
     let g = Graph::try_from_symmetric_matrix(m)
         .map_err(|e| Failure::new(EXIT_GRAPH, e.to_string()))?;
     let order = ordering.vertex_order_d2(&g);
-    Ok(match forbidden {
-        Some(bgpc::ForbiddenKind::Stamp) => {
-            bgpc::d2gc::color_d2gc_with_set::<bgpc::StampSet, I>(&g, &order, schedule, pool, opts)
-        }
-        Some(bgpc::ForbiddenKind::BitStamp) => {
-            bgpc::d2gc::color_d2gc_with_set::<bgpc::BitStampSet, I>(
-                &g, &order, schedule, pool, opts,
-            )
-        }
-        None => bgpc::d2gc::color_d2gc_with_opts(&g, &order, schedule, pool, opts),
-    })
+    Ok(bgpc::d2gc::color_d2gc_with_opts(&g, &order, schedule, pool, opts))
 }
 
 /// Maps a coloring computed on a relabeled instance back to original ids.
@@ -194,7 +171,6 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
     let mut schedule = args.schedule.clone();
     let mut relabel = args.relabel;
     let mut width_request = args.index_width;
-    let mut forbidden: Option<bgpc::ForbiddenKind> = None;
     if args.autotune {
         match args.problem {
             Problem::Bgpc | Problem::D2gc => {
@@ -217,7 +193,6 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
                 schedule = cfg.schedule.clone();
                 relabel = cfg.relabel;
                 width_request = Some(cfg.index_width);
-                forbidden = Some(cfg.forbidden);
             }
             _ => out!("autotune: no table for {:?}; using explicit flags", args.problem),
         }
@@ -267,17 +242,10 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
                 .map_err(|e| Failure::new(EXIT_GRAPH, e.to_string()))?;
             let (pm, perm) = relabel.apply_columns(&matrix);
             let r = match width {
-                IndexWidth::U32 => {
-                    run_bgpc_width(pm, &schedule, args.ordering, &pool, forbidden, opts)?
+                IndexWidth::U32 => run_bgpc_width(pm, &schedule, args.ordering, &pool, opts)?,
+                IndexWidth::U64 => {
+                    run_bgpc_width(pm.to_index::<u64>(), &schedule, args.ordering, &pool, opts)?
                 }
-                IndexWidth::U64 => run_bgpc_width(
-                    pm.to_index::<u64>(),
-                    &schedule,
-                    args.ordering,
-                    &pool,
-                    forbidden,
-                    opts,
-                )?,
             };
             report_tuner_actions(&r.tuner_actions);
             report_degradation(&r.degraded);
@@ -304,20 +272,14 @@ fn color(args: ColorArgs) -> Result<(), Failure> {
                 Problem::D2gc => {
                     let (pm, perm) = relabel.apply_symmetric(&matrix);
                     let r = match width {
-                        IndexWidth::U32 => run_d2gc_width(
-                            &pm,
-                            &schedule,
-                            args.ordering,
-                            &pool,
-                            forbidden,
-                            opts,
-                        )?,
+                        IndexWidth::U32 => {
+                            run_d2gc_width(&pm, &schedule, args.ordering, &pool, opts)?
+                        }
                         IndexWidth::U64 => run_d2gc_width(
                             &pm.to_index::<u64>(),
                             &schedule,
                             args.ordering,
                             &pool,
-                            forbidden,
                             opts,
                         )?,
                     };

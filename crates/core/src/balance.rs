@@ -13,8 +13,7 @@
 //!   per vertex, with a floor of `colmax/3 + 1` to aggressively favor the
 //!   upper part of the interval — better balance, ~10% more colors.
 
-use crate::forbidden::ForbiddenSet;
-use crate::Color;
+use crate::{Color, StampSet};
 
 /// Which balancing heuristic (if any) the coloring phase applies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -68,11 +67,9 @@ impl Balance {
     /// Chooses a color for entity `id` (vertex or net — B1 alternates on
     /// its parity) given the forbidden set `F`, updating the thread state.
     ///
-    /// The returned color is never in `F` and never negative. Generic over
-    /// the forbidden-set representation so both [`crate::StampSet`] and
-    /// [`crate::BitStampSet`] kernels share the one implementation.
+    /// The returned color is never in `F` and never negative.
     #[inline]
-    pub fn pick<F: ForbiddenSet>(&self, id: u32, fb: &F, st: &mut BalancerState) -> Color {
+    pub fn pick(&self, id: u32, fb: &StampSet, st: &mut BalancerState) -> Color {
         let col = match self {
             Balance::Unbalanced => fb.first_fit_from(0),
             Balance::B1 => {
@@ -111,7 +108,6 @@ impl Balance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StampSet;
 
     fn fb_with(colors: &[Color]) -> StampSet {
         let mut fb = StampSet::with_capacity(16);

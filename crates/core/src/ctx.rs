@@ -5,7 +5,7 @@ use std::marker::PhantomData;
 use sparse::CsrIndex;
 
 use crate::balance::BalancerState;
-use crate::forbidden::{BitStampSet, ForbiddenSet};
+use crate::forbidden::StampSet;
 
 /// One team thread's reusable buffers.
 ///
@@ -14,15 +14,12 @@ use crate::forbidden::{BitStampSet, ForbiddenSet};
 /// implementation note): the forbidden set is stamp-marked, the queues are
 /// cleared by resetting their length.
 ///
-/// The forbidden-set representation is a type parameter so kernels can be
-/// benchmarked against both [`crate::StampSet`] and the word-packed
-/// [`BitStampSet`]; production paths use the default ([`BitStampSet`]).
-/// The second parameter ties the workspace to the instance's CSR
+/// The type parameter ties the workspace to the instance's CSR
 /// row-pointer width ([`CsrIndex`]): a scratch set built for a `u32`
 /// instance cannot be handed to a `u64` kernel by accident.
-pub struct ThreadCtx<F: ForbiddenSet = BitStampSet, I: CsrIndex = u32> {
-    /// Forbidden-color set `F`.
-    pub fb: F,
+pub struct ThreadCtx<I: CsrIndex = u32> {
+    /// The paper's forbidden-color set `F`.
+    pub fb: StampSet,
     /// B1/B2 cursors (`colmax`, `colnext`).
     pub balancer: BalancerState,
     /// Lazy (64D) conflict queue for this thread.
@@ -37,12 +34,12 @@ pub struct ThreadCtx<F: ForbiddenSet = BitStampSet, I: CsrIndex = u32> {
     _width: PhantomData<fn() -> I>,
 }
 
-impl<F: ForbiddenSet, I: CsrIndex> ThreadCtx<F, I> {
+impl<I: CsrIndex> ThreadCtx<I> {
     /// Creates a context sized for colors up to `color_capacity` (the
     /// forbidden set grows on demand if exceeded).
     pub fn new(color_capacity: usize) -> Self {
         Self {
-            fb: F::with_capacity(color_capacity.max(16)),
+            fb: StampSet::with_capacity(color_capacity.max(16)),
             balancer: BalancerState::default(),
             local_queue: Vec::new(),
             wlocal: Vec::new(),
@@ -73,7 +70,6 @@ impl<F: ForbiddenSet, I: CsrIndex> ThreadCtx<F, I> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::StampSet;
 
     #[test]
     fn construction_sizes_forbidden_set() {
@@ -88,14 +84,8 @@ mod tests {
     }
 
     #[test]
-    fn generic_over_set_representation() {
-        let ctx: ThreadCtx<StampSet> = ThreadCtx::new(32);
-        assert!(ctx.fb.capacity() >= 32);
-    }
-
-    #[test]
     fn generic_over_index_width() {
-        let ctx: ThreadCtx<StampSet, u64> = ThreadCtx::new(32);
+        let ctx: ThreadCtx<u64> = ThreadCtx::new(32);
         assert!(ctx.fb.capacity() >= 32);
     }
 }

@@ -13,12 +13,12 @@ use par::{Pool, ThreadScratch};
 use crate::ctx::ThreadCtx;
 use crate::metrics::count_distinct_colors;
 use crate::workqueue::merge_local_queues;
-use crate::{Balance, BitStampSet, Color, Colors, UNCOLORED};
+use crate::{Balance, Color, Colors, StampSet, UNCOLORED};
 
 /// Sequential greedy first-fit D1GC. Uses at most `Δ + 1` colors.
 pub fn color_d1gc_seq(g: &Graph, order: &[u32]) -> (Vec<Color>, usize) {
     let mut colors = vec![UNCOLORED; g.n_vertices()];
-    let mut fb = BitStampSet::with_capacity(g.max_degree() + 1);
+    let mut fb = StampSet::with_capacity(g.max_degree() + 1);
     for &w in order {
         let wu = w as usize;
         fb.advance();

@@ -12,4 +12,4 @@ pub mod net;
 pub mod runner;
 pub mod vertex;
 
-pub use runner::{color_d2gc, color_d2gc_with_opts, color_d2gc_with_set, try_color_d2gc};
+pub use runner::{color_d2gc, color_d2gc_with_opts, try_color_d2gc};

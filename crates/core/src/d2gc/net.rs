@@ -9,7 +9,6 @@ use par::{Pool, Sched, ThreadScratch};
 use sparse::CsrIndex;
 
 use crate::ctx::ThreadCtx;
-use crate::forbidden::ForbiddenSet;
 use crate::{Balance, Color, Colors, UNCOLORED};
 
 const NET_CHUNK: usize = 16;
@@ -19,13 +18,13 @@ const NET_CHUNK: usize = 16;
 /// The reverse first-fit cursor starts at `|nbor(v)|` (not
 /// `|nbor(v)| − 1`): the thread may color the middle vertex too, needing
 /// up to `|nbor(v)| + 1` colors including color 0.
-pub fn color_workqueue_net<F: ForbiddenSet, I: CsrIndex>(
+pub fn color_workqueue_net<I: CsrIndex>(
     g: &Graph<I>,
     colors: &Colors,
     pool: &Pool,
     sched: Sched,
     balance: Balance,
-    scratch: &ThreadScratch<ThreadCtx<F, I>>,
+    scratch: &ThreadScratch<ThreadCtx<I>>,
 ) {
     let rec = pool.tracer();
     pool.for_sched(sched, g.n_vertices(), NET_CHUNK, |tid, range| {
@@ -103,12 +102,12 @@ pub fn color_workqueue_net<F: ForbiddenSet, I: CsrIndex>(
 /// The middle vertex's color is seeded into `F` first, so a neighbor
 /// duplicating it is uncolored while `v` itself always survives its own
 /// scan (it may still lose in a neighbor's scan).
-pub fn remove_conflicts_net<F: ForbiddenSet, I: CsrIndex>(
+pub fn remove_conflicts_net<I: CsrIndex>(
     g: &Graph<I>,
     colors: &Colors,
     pool: &Pool,
     sched: Sched,
-    scratch: &ThreadScratch<ThreadCtx<F, I>>,
+    scratch: &ThreadScratch<ThreadCtx<I>>,
 ) {
     let rec = pool.tracer();
     pool.for_sched(sched, g.n_vertices(), NET_CHUNK, |tid, range| {
@@ -156,13 +155,13 @@ pub fn remove_conflicts_net<F: ForbiddenSet, I: CsrIndex>(
 
 /// Rebuilds the explicit work queue after net-based conflict removal
 /// (uncolored vertices in `order`'s processing order).
-pub fn collect_uncolored<F: ForbiddenSet, I: CsrIndex>(
+pub fn collect_uncolored<I: CsrIndex>(
     order: &[u32],
     colors: &Colors,
     pool: &Pool,
-    scratch: &mut ThreadScratch<ThreadCtx<F, I>>,
+    scratch: &mut ThreadScratch<ThreadCtx<I>>,
 ) -> Vec<u32> {
-    let scratch_ref: &ThreadScratch<ThreadCtx<F, I>> = scratch;
+    let scratch_ref: &ThreadScratch<ThreadCtx<I>> = scratch;
     pool.for_static(order.len(), |tid, range| {
         par::faults::fire("d2gc.conflict", tid);
         scratch_ref.with(tid, |ctx| {

@@ -9,7 +9,6 @@ use sparse::CsrIndex;
 use crate::ctx::ThreadCtx;
 use crate::d2gc::{net, vertex};
 use crate::error::{validate_order, ColoringError};
-use crate::forbidden::ForbiddenSet;
 use crate::metrics::{
     count_distinct_colors, ColoringResult, DegradeReason, FailedPhase, IterationMetrics,
 };
@@ -46,30 +45,8 @@ pub fn try_color_d2gc<I: CsrIndex>(
     Ok(color_d2gc(g, order, schedule, pool))
 }
 
-/// [`color_d2gc`] with explicit [`RunnerOpts`]. Picks the forbidden-set
-/// representation per instance exactly like
-/// [`crate::color_bgpc_with_opts`], with the same
-/// [`crate::tuning::DENSE_FORBIDDEN_CUTOFF`] threshold applied to the
-/// maximum degree (D2GC's neighborhood bound) rather than the maximum
-/// net size; use [`color_d2gc_with_set`] to force one.
+/// [`color_d2gc`] with explicit [`RunnerOpts`].
 pub fn color_d2gc_with_opts<I: CsrIndex>(
-    g: &Graph<I>,
-    order: &[u32],
-    schedule: &Schedule,
-    pool: &Pool,
-    opts: RunnerOpts,
-) -> ColoringResult {
-    if g.max_degree() > crate::tuning::DENSE_FORBIDDEN_CUTOFF {
-        color_d2gc_with_set::<crate::StampSet, I>(g, order, schedule, pool, opts)
-    } else {
-        color_d2gc_with_set::<crate::BitStampSet, I>(g, order, schedule, pool, opts)
-    }
-}
-
-/// [`color_d2gc`] generic over the forbidden-set representation `F`
-/// (benchmark harness entry point, mirroring
-/// [`crate::color_bgpc_with_set`]).
-pub fn color_d2gc_with_set<F: ForbiddenSet, I: CsrIndex>(
     g: &Graph<I>,
     order: &[u32],
     schedule: &Schedule,
@@ -78,7 +55,7 @@ pub fn color_d2gc_with_set<F: ForbiddenSet, I: CsrIndex>(
 ) -> ColoringResult {
     let colors = Colors::new(g.n_vertices());
     let w0 = order.to_vec();
-    run_speculative_d2gc::<F, I>(
+    run_speculative_d2gc(
         g,
         order,
         colors,
@@ -95,7 +72,7 @@ pub fn color_d2gc_with_set<F: ForbiddenSet, I: CsrIndex>(
 /// and `w0` restricted to a dirty subset ([`crate::incremental`]), while
 /// `order` must always cover every vertex (repair + net-phase rebuild).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_speculative_d2gc<F: ForbiddenSet, I: CsrIndex>(
+pub(crate) fn run_speculative_d2gc<I: CsrIndex>(
     g: &Graph<I>,
     order: &[u32],
     colors: Colors,
@@ -107,7 +84,7 @@ pub(crate) fn run_speculative_d2gc<F: ForbiddenSet, I: CsrIndex>(
 ) -> ColoringResult {
     let n = g.n_vertices();
     debug_assert_eq!(order.len(), n);
-    let mut scratch: ThreadScratch<ThreadCtx<F, I>> =
+    let mut scratch: ThreadScratch<ThreadCtx<I>> =
         ThreadScratch::new(pool.threads(), |_| ThreadCtx::new(capacity));
     // Per-run state reset, mirroring [`crate::runner`] (see ThreadCtx docs).
     for ctx in scratch.iter_mut() {
@@ -414,7 +391,7 @@ fn repair_sequential<I: CsrIndex>(g: &Graph<I>, order: &[u32], colors: &Colors) 
 }
 
 fn sequential_fallback<I: CsrIndex>(g: &Graph<I>, w: &[u32], colors: &Colors) {
-    let mut fb = crate::BitStampSet::with_capacity(g.max_degree() + 64);
+    let mut fb = crate::StampSet::with_capacity(g.max_degree() + 64);
     for &wv in w {
         let wu = wv as usize;
         fb.advance();

@@ -9,7 +9,6 @@ use par::{Pool, Sched, ThreadScratch};
 use sparse::CsrIndex;
 
 use crate::ctx::ThreadCtx;
-use crate::forbidden::ForbiddenSet;
 use crate::tuning::PREFETCH_AHEAD;
 use crate::workqueue::{merge_local_queues, SharedQueue};
 use crate::{Balance, Colors, UNCOLORED};
@@ -17,7 +16,7 @@ use crate::{Balance, Colors, UNCOLORED};
 /// Optimistic coloring of the work queue, vertex-based: forbid the colors
 /// of everything within distance 2 of `w`, then pick with `balance`.
 #[allow(clippy::too_many_arguments)] // mirrors the paper kernel's parameter list
-pub fn color_workqueue_vertex<F: ForbiddenSet, I: CsrIndex>(
+pub fn color_workqueue_vertex<I: CsrIndex>(
     g: &Graph<I>,
     w: &[u32],
     colors: &Colors,
@@ -25,7 +24,7 @@ pub fn color_workqueue_vertex<F: ForbiddenSet, I: CsrIndex>(
     chunk: usize,
     sched: Sched,
     balance: Balance,
-    scratch: &ThreadScratch<ThreadCtx<F, I>>,
+    scratch: &ThreadScratch<ThreadCtx<I>>,
 ) {
     let rec = pool.tracer();
     pool.for_sched(sched, w.len(), chunk, |tid, range| {
@@ -82,7 +81,7 @@ pub fn color_workqueue_vertex<F: ForbiddenSet, I: CsrIndex>(
 /// Vertex-based conflict detection: `w` loses (is re-queued) if any vertex
 /// within distance 2 carries the same color and has a smaller id.
 #[allow(clippy::too_many_arguments)] // mirrors the paper kernel's parameter list
-pub fn remove_conflicts_vertex<F: ForbiddenSet, I: CsrIndex>(
+pub fn remove_conflicts_vertex<I: CsrIndex>(
     g: &Graph<I>,
     w: &[u32],
     colors: &Colors,
@@ -90,9 +89,9 @@ pub fn remove_conflicts_vertex<F: ForbiddenSet, I: CsrIndex>(
     chunk: usize,
     sched: Sched,
     eager: Option<&SharedQueue>,
-    scratch: &mut ThreadScratch<ThreadCtx<F, I>>,
+    scratch: &mut ThreadScratch<ThreadCtx<I>>,
 ) -> Vec<u32> {
-    let scratch_ref: &ThreadScratch<ThreadCtx<F, I>> = scratch;
+    let scratch_ref: &ThreadScratch<ThreadCtx<I>> = scratch;
     let rec = pool.tracer();
     pool.for_sched(sched, w.len(), chunk, |tid, range| {
         par::faults::fire("d2gc.conflict", tid);

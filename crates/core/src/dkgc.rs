@@ -17,12 +17,12 @@ use graph::Graph;
 use par::{Pool, ThreadScratch};
 
 use crate::metrics::count_distinct_colors;
-use crate::{Balance, BitStampSet, Color, Colors, UNCOLORED};
+use crate::{Balance, Color, Colors, StampSet, UNCOLORED};
 
 /// Per-thread workspace for distance-k traversals.
 struct DkCtx {
-    fb: BitStampSet,
-    visited: BitStampSet,
+    fb: StampSet,
+    visited: StampSet,
     frontier: Vec<u32>,
     next_frontier: Vec<u32>,
     local_queue: Vec<u32>,
@@ -32,8 +32,8 @@ struct DkCtx {
 impl DkCtx {
     fn new(color_capacity: usize, n: usize) -> Self {
         Self {
-            fb: BitStampSet::with_capacity(color_capacity.max(16)),
-            visited: BitStampSet::with_capacity(n.max(16)),
+            fb: StampSet::with_capacity(color_capacity.max(16)),
+            visited: StampSet::with_capacity(n.max(16)),
             frontier: Vec::new(),
             next_frontier: Vec::new(),
             local_queue: Vec::new(),

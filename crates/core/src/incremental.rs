@@ -16,9 +16,8 @@
 //!    the existing speculative drivers with the previous coloring and a
 //!    work queue containing *only* the dirty vertices, then run the
 //!    ordinary color-then-repair loop until clean. Every runner feature
-//!    — [`crate::ctx::ThreadCtx`] scratch, forbidden-set dispatch, all
-//!    [`Schedule`]s, and [`RunnerOpts`] (deadline/cancel/online tuner) —
-//!    applies unchanged.
+//!    — [`crate::ctx::ThreadCtx`] scratch, all [`Schedule`]s, and
+//!    [`RunnerOpts`] (deadline/cancel/online tuner) — applies unchanged.
 //!
 //! # Why the dirty set suffices
 //!
@@ -91,7 +90,6 @@ use par::Pool;
 use sparse::{Csr, CsrIndex};
 
 use crate::d2gc::runner::run_speculative_d2gc;
-use crate::forbidden::ForbiddenSet;
 use crate::metrics::ColoringResult;
 use crate::runner::{run_speculative_bgpc, RunnerOpts};
 use crate::{Color, Colors, Schedule, UNCOLORED};
@@ -490,8 +488,7 @@ fn seed_colors(base_colors: &[Color], dirty: &[u32]) -> (Colors, Vec<u32>, Color
 /// graph, and `dirty` the vertices whose colors may no longer be valid
 /// (from [`DeltaApplied::dirty_bgpc`]). Stable vertices keep their
 /// colors; only the dirty set (plus any conflict losers the speculative
-/// loop discovers) is recolored. Dispatches the forbidden-set
-/// representation per instance exactly like [`crate::color_bgpc_with_opts`].
+/// loop discovers) is recolored.
 ///
 /// `order` must cover every vertex of `g` — it is the repair order for
 /// degraded runs and the rebuild set for net-based conflict phases.
@@ -514,29 +511,6 @@ pub fn recolor_bgpc_incremental<I: CsrIndex>(
     pool: &Pool,
     opts: RunnerOpts,
 ) -> ColoringResult {
-    if g.max_net_size() > crate::tuning::DENSE_FORBIDDEN_CUTOFF {
-        recolor_bgpc_incremental_with_set::<crate::StampSet, I>(
-            g, base_colors, dirty, order, schedule, pool, opts,
-        )
-    } else {
-        recolor_bgpc_incremental_with_set::<crate::BitStampSet, I>(
-            g, base_colors, dirty, order, schedule, pool, opts,
-        )
-    }
-}
-
-/// [`recolor_bgpc_incremental`] generic over the forbidden-set
-/// representation `F`, for harnesses that pin the representation axis.
-#[allow(clippy::too_many_arguments)]
-pub fn recolor_bgpc_incremental_with_set<F: ForbiddenSet, I: CsrIndex>(
-    g: &BipartiteGraph<I>,
-    base_colors: &[Color],
-    dirty: &[u32],
-    order: &[u32],
-    schedule: &Schedule,
-    pool: &Pool,
-    opts: RunnerOpts,
-) -> ColoringResult {
     assert_eq!(
         base_colors.len(),
         g.n_vertices(),
@@ -547,7 +521,7 @@ pub fn recolor_bgpc_incremental_with_set<F: ForbiddenSet, I: CsrIndex>(
     // the structural bound; the sets grow on demand, this sizes the
     // first allocation.
     let capacity = g.max_net_size().max((max_base + 1) as usize) + 64;
-    run_speculative_bgpc::<F, I>(g, order, colors, w0, capacity, schedule, pool, opts)
+    run_speculative_bgpc(g, order, colors, w0, capacity, schedule, pool, opts)
 }
 
 /// Incrementally recolors a D2GC instance after a mutation — the
@@ -567,29 +541,6 @@ pub fn recolor_d2gc_incremental<I: CsrIndex>(
     pool: &Pool,
     opts: RunnerOpts,
 ) -> ColoringResult {
-    if g.max_degree() > crate::tuning::DENSE_FORBIDDEN_CUTOFF {
-        recolor_d2gc_incremental_with_set::<crate::StampSet, I>(
-            g, base_colors, dirty, order, schedule, pool, opts,
-        )
-    } else {
-        recolor_d2gc_incremental_with_set::<crate::BitStampSet, I>(
-            g, base_colors, dirty, order, schedule, pool, opts,
-        )
-    }
-}
-
-/// [`recolor_d2gc_incremental`] generic over the forbidden-set
-/// representation `F`.
-#[allow(clippy::too_many_arguments)]
-pub fn recolor_d2gc_incremental_with_set<F: ForbiddenSet, I: CsrIndex>(
-    g: &Graph<I>,
-    base_colors: &[Color],
-    dirty: &[u32],
-    order: &[u32],
-    schedule: &Schedule,
-    pool: &Pool,
-    opts: RunnerOpts,
-) -> ColoringResult {
     assert_eq!(
         base_colors.len(),
         g.n_vertices(),
@@ -597,7 +548,7 @@ pub fn recolor_d2gc_incremental_with_set<F: ForbiddenSet, I: CsrIndex>(
     );
     let (colors, w0, max_base) = seed_colors(base_colors, dirty);
     let capacity = g.max_degree().max((max_base + 1) as usize) + 64;
-    run_speculative_d2gc::<F, I>(g, order, colors, w0, capacity, schedule, pool, opts)
+    run_speculative_d2gc(g, order, colors, w0, capacity, schedule, pool, opts)
 }
 
 #[cfg(test)]

@@ -78,11 +78,10 @@ pub use balance::Balance;
 pub use cancel::CancelToken;
 pub use color::{Color, Colors, UNCOLORED};
 pub use engine::{
-    Engine, EngineChoice, EngineConfig, ForbiddenKind, InstanceFeatures, OnlineTuner,
-    Overrides, ProblemKind,
+    Engine, EngineChoice, EngineConfig, InstanceFeatures, OnlineTuner, Overrides, ProblemKind,
 };
 pub use error::ColoringError;
-pub use forbidden::{BitStampSet, ForbiddenSet, StampSet};
+pub use forbidden::StampSet;
 pub use incremental::{
     apply_delta, recolor_bgpc_incremental, recolor_d2gc_incremental, CsrDelta, DeltaApplied,
     DeltaError,
@@ -91,7 +90,5 @@ pub use metrics::{
     ColoringResult, DegradeReason, FailedPhase, IterationMetrics, TunerAction,
     TunerActionKind,
 };
-pub use runner::{
-    color_bgpc, color_bgpc_with_opts, color_bgpc_with_set, try_color_bgpc, RunnerOpts,
-};
+pub use runner::{color_bgpc, color_bgpc_with_opts, try_color_bgpc, RunnerOpts};
 pub use schedule::{PhaseKind, Schedule};

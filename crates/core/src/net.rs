@@ -13,7 +13,6 @@ use par::{Pool, Sched, ThreadScratch};
 use sparse::CsrIndex;
 
 use crate::ctx::ThreadCtx;
-use crate::forbidden::ForbiddenSet;
 use crate::{Balance, Color, Colors, UNCOLORED};
 
 /// Dynamic chunk used for net-parallel loops. Nets vary in size far more
@@ -47,14 +46,14 @@ pub enum NetColoringVariant {
 ///
 /// `balance` applies the B1/B2 start-color policies to the net's local
 /// color run (the paper: "the net-based variants are also similar").
-pub fn color_workqueue_net<F: ForbiddenSet, I: CsrIndex>(
+pub fn color_workqueue_net<I: CsrIndex>(
     g: &BipartiteGraph<I>,
     colors: &Colors,
     pool: &Pool,
     sched: Sched,
     variant: NetColoringVariant,
     balance: Balance,
-    scratch: &ThreadScratch<ThreadCtx<F, I>>,
+    scratch: &ThreadScratch<ThreadCtx<I>>,
 ) {
     match variant {
         NetColoringVariant::SinglePassFirstFit => {
@@ -71,12 +70,12 @@ pub fn color_workqueue_net<F: ForbiddenSet, I: CsrIndex>(
 
 /// Algorithm 6 (and its reverse-fit variant): one pass over each pin list,
 /// recoloring on the spot.
-fn color_net_single_pass<F: ForbiddenSet, I: CsrIndex>(
+fn color_net_single_pass<I: CsrIndex>(
     g: &BipartiteGraph<I>,
     colors: &Colors,
     pool: &Pool,
     sched: Sched,
-    scratch: &ThreadScratch<ThreadCtx<F, I>>,
+    scratch: &ThreadScratch<ThreadCtx<I>>,
     reverse: bool,
 ) {
     let rec = pool.tracer();
@@ -130,12 +129,12 @@ fn color_net_single_pass<F: ForbiddenSet, I: CsrIndex>(
 /// Algorithm 8: mark forbidden colors and collect `W_local` in a first
 /// pass, then color `W_local` with reverse first-fit (or the B1/B2
 /// adaptation) in a second pass.
-fn color_net_two_pass<F: ForbiddenSet, I: CsrIndex>(
+fn color_net_two_pass<I: CsrIndex>(
     g: &BipartiteGraph<I>,
     colors: &Colors,
     pool: &Pool,
     sched: Sched,
-    scratch: &ThreadScratch<ThreadCtx<F, I>>,
+    scratch: &ThreadScratch<ThreadCtx<I>>,
     balance: Balance,
 ) {
     let rec = pool.tracer();
@@ -214,12 +213,12 @@ fn color_net_two_pass<F: ForbiddenSet, I: CsrIndex>(
 /// later pins with the same color are uncolored (`c[u] ← −1`). Detects all
 /// conflicts in `O(|V| + |E|)` but "may remove more colorings than
 /// required" — the optimism the paper accepts.
-pub fn remove_conflicts_net<F: ForbiddenSet, I: CsrIndex>(
+pub fn remove_conflicts_net<I: CsrIndex>(
     g: &BipartiteGraph<I>,
     colors: &Colors,
     pool: &Pool,
     sched: Sched,
-    scratch: &ThreadScratch<ThreadCtx<F, I>>,
+    scratch: &ThreadScratch<ThreadCtx<I>>,
 ) {
     let rec = pool.tracer();
     pool.for_sched(sched, g.n_nets(), NET_CHUNK, |tid, range| {
@@ -263,13 +262,13 @@ pub fn remove_conflicts_net<F: ForbiddenSet, I: CsrIndex>(
 ///
 /// Static partitioning with per-thread buffers merged in thread order keeps
 /// the result deterministic for a fixed coloring state.
-pub fn collect_uncolored<F: ForbiddenSet, I: CsrIndex>(
+pub fn collect_uncolored<I: CsrIndex>(
     order: &[u32],
     colors: &Colors,
     pool: &Pool,
-    scratch: &mut ThreadScratch<ThreadCtx<F, I>>,
+    scratch: &mut ThreadScratch<ThreadCtx<I>>,
 ) -> Vec<u32> {
-    let scratch_ref: &ThreadScratch<ThreadCtx<F, I>> = scratch;
+    let scratch_ref: &ThreadScratch<ThreadCtx<I>> = scratch;
     pool.for_static(order.len(), |tid, range| {
         par::faults::fire("bgpc.conflict", tid);
         scratch_ref.with(tid, |ctx| {

@@ -19,7 +19,7 @@ use par::{Pool, ThreadScratch};
 
 use crate::ctx::ThreadCtx;
 use crate::metrics::count_distinct_colors;
-use crate::{BitStampSet, Color, Colors, UNCOLORED};
+use crate::{Color, Colors, StampSet, UNCOLORED};
 
 /// One sequential descending-class recoloring pass for BGPC. Returns the
 /// new distinct-color count. Never increases any vertex's color.
@@ -27,7 +27,7 @@ pub fn reduce_colors_bgpc_seq(g: &BipartiteGraph, colors: &mut [Color]) -> usize
     debug_assert_eq!(colors.len(), g.n_vertices());
     let mut order: Vec<u32> = (0..g.n_vertices() as u32).collect();
     order.sort_by_key(|&u| std::cmp::Reverse(colors[u as usize]));
-    let mut fb = BitStampSet::with_capacity(g.max_net_size() + 16);
+    let mut fb = StampSet::with_capacity(g.max_net_size() + 16);
     for &w in &order {
         let wu = w as usize;
         fb.advance();
@@ -53,7 +53,7 @@ pub fn reduce_colors_d2gc_seq(g: &Graph, colors: &mut [Color]) -> usize {
     debug_assert_eq!(colors.len(), g.n_vertices());
     let mut order: Vec<u32> = (0..g.n_vertices() as u32).collect();
     order.sort_by_key(|&u| std::cmp::Reverse(colors[u as usize]));
-    let mut fb = BitStampSet::with_capacity(g.max_degree() + 16);
+    let mut fb = StampSet::with_capacity(g.max_degree() + 16);
     for &w in &order {
         let wu = w as usize;
         fb.advance();

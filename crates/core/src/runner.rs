@@ -8,7 +8,6 @@ use sparse::CsrIndex;
 
 use crate::ctx::ThreadCtx;
 use crate::error::{validate_order, ColoringError};
-use crate::forbidden::ForbiddenSet;
 use crate::metrics::{
     count_distinct_colors, ColoringResult, DegradeReason, FailedPhase, IterationMetrics,
     ThreadIterStats,
@@ -100,30 +99,8 @@ pub fn try_color_bgpc<I: CsrIndex>(
     Ok(color_bgpc(g, order, schedule, pool))
 }
 
-/// [`color_bgpc`] with explicit [`RunnerOpts`]. Picks the forbidden-set
-/// representation per instance: the word-packed [`crate::BitStampSet`]
-/// by default, the per-color [`crate::StampSet`] when the largest net
-/// exceeds [`crate::tuning::DENSE_FORBIDDEN_CUTOFF`] (insert-dominated
-/// regime — see the constant's docs for why). Use
-/// [`color_bgpc_with_set`] to force a representation.
+/// [`color_bgpc`] with explicit [`RunnerOpts`].
 pub fn color_bgpc_with_opts<I: CsrIndex>(
-    g: &BipartiteGraph<I>,
-    order: &[u32],
-    schedule: &Schedule,
-    pool: &Pool,
-    opts: RunnerOpts,
-) -> ColoringResult {
-    if g.max_net_size() > crate::tuning::DENSE_FORBIDDEN_CUTOFF {
-        color_bgpc_with_set::<crate::StampSet, I>(g, order, schedule, pool, opts)
-    } else {
-        color_bgpc_with_set::<crate::BitStampSet, I>(g, order, schedule, pool, opts)
-    }
-}
-
-/// [`color_bgpc`] generic over the forbidden-set representation `F` —
-/// the benchmark harness runs the same driver with [`crate::StampSet`]
-/// and [`crate::BitStampSet`] to measure the representation in isolation.
-pub fn color_bgpc_with_set<F: ForbiddenSet, I: CsrIndex>(
     g: &BipartiteGraph<I>,
     order: &[u32],
     schedule: &Schedule,
@@ -133,7 +110,7 @@ pub fn color_bgpc_with_set<F: ForbiddenSet, I: CsrIndex>(
     let n = g.n_vertices();
     let colors = Colors::new(n);
     let w0 = order.to_vec();
-    run_speculative_bgpc::<F, I>(
+    run_speculative_bgpc(
         g,
         order,
         colors,
@@ -148,7 +125,7 @@ pub fn color_bgpc_with_set<F: ForbiddenSet, I: CsrIndex>(
 /// The speculative color-then-repair loop over an explicit starting
 /// state: a (possibly pre-seeded) color array and an initial work queue.
 ///
-/// `color_bgpc_with_set` calls this with an all-[`UNCOLORED`] array and
+/// [`color_bgpc_with_opts`] calls this with an all-[`UNCOLORED`] array and
 /// `w0 == order`; [`crate::incremental`] seeds `colors` from a previous
 /// run and restricts `w0` to the dirty vertices. Either way `order` must
 /// cover every vertex — it is the repair order for degraded runs and the
@@ -160,7 +137,7 @@ pub fn color_bgpc_with_set<F: ForbiddenSet, I: CsrIndex>(
 /// (the sets grow on demand, so this is a first-allocation hint, not a
 /// correctness requirement).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_speculative_bgpc<F: ForbiddenSet, I: CsrIndex>(
+pub(crate) fn run_speculative_bgpc<I: CsrIndex>(
     g: &BipartiteGraph<I>,
     order: &[u32],
     colors: Colors,
@@ -172,9 +149,8 @@ pub(crate) fn run_speculative_bgpc<F: ForbiddenSet, I: CsrIndex>(
 ) -> ColoringResult {
     let n = g.n_vertices();
     debug_assert_eq!(order.len(), n, "order must cover every vertex");
-    let mut scratch: ThreadScratch<ThreadCtx<F, I>> = ThreadScratch::new(pool.threads(), |_| {
-        ThreadCtx::new(capacity)
-    });
+    let mut scratch: ThreadScratch<ThreadCtx<I>> =
+        ThreadScratch::new(pool.threads(), |_| ThreadCtx::new(capacity));
     // Balancer cursors and queues are per-run state: reset defensively so
     // the run is reproducible even if the scratch construction above is
     // ever hoisted out and reused across calls (see ThreadCtx docs).
@@ -483,7 +459,7 @@ fn traced_repair<I: CsrIndex>(
 /// Colors `w` sequentially with first-fit against the *current* state —
 /// conflict-free by construction.
 fn sequential_fallback<I: CsrIndex>(g: &BipartiteGraph<I>, w: &[u32], colors: &Colors) {
-    let mut fb = crate::BitStampSet::with_capacity(g.max_net_size() + 64);
+    let mut fb = crate::StampSet::with_capacity(g.max_net_size() + 64);
     for &wv in w {
         let wu = wv as usize;
         fb.advance();

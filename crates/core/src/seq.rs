@@ -7,32 +7,14 @@
 use graph::{BipartiteGraph, Graph};
 use sparse::CsrIndex;
 
-use crate::forbidden::ForbiddenSet;
 use crate::metrics::count_distinct_colors;
-use crate::{BitStampSet, Color, StampSet, UNCOLORED};
-
-/// Net-size/degree cutoff for the forbidden-set representation, matching
-/// the parallel runners: giant neighborhoods are insert-dominated, where
-/// the stamp array's single-store insert beats the bitmap.
-const DENSE_THRESHOLD: usize = 128;
+use crate::{Color, StampSet, UNCOLORED};
 
 /// Sequential first-fit BGPC over `order`. Returns the coloring and the
 /// number of distinct colors.
 pub fn color_bgpc_seq<I: CsrIndex>(g: &BipartiteGraph<I>, order: &[u32]) -> (Vec<Color>, usize) {
-    if g.max_net_size() > DENSE_THRESHOLD {
-        color_bgpc_seq_with_set::<StampSet, I>(g, order)
-    } else {
-        color_bgpc_seq_with_set::<BitStampSet, I>(g, order)
-    }
-}
-
-/// [`color_bgpc_seq`] generic over the forbidden-set representation.
-pub fn color_bgpc_seq_with_set<F: ForbiddenSet, I: CsrIndex>(
-    g: &BipartiteGraph<I>,
-    order: &[u32],
-) -> (Vec<Color>, usize) {
     let mut colors = vec![UNCOLORED; g.n_vertices()];
-    let mut fb = F::with_capacity(g.max_net_size().max(16));
+    let mut fb = StampSet::with_capacity(g.max_net_size().max(16));
     for (k, &w) in order.iter().enumerate() {
         if let Some(&next) = order.get(k + crate::vertex::PREFETCH_AHEAD) {
             g.prefetch_nets(next as usize);
@@ -57,20 +39,8 @@ pub fn color_bgpc_seq_with_set<F: ForbiddenSet, I: CsrIndex>(
 
 /// Sequential first-fit D2GC over `order`.
 pub fn color_d2gc_seq<I: CsrIndex>(g: &Graph<I>, order: &[u32]) -> (Vec<Color>, usize) {
-    if g.max_degree() > DENSE_THRESHOLD {
-        color_d2gc_seq_with_set::<StampSet, I>(g, order)
-    } else {
-        color_d2gc_seq_with_set::<BitStampSet, I>(g, order)
-    }
-}
-
-/// [`color_d2gc_seq`] generic over the forbidden-set representation.
-pub fn color_d2gc_seq_with_set<F: ForbiddenSet, I: CsrIndex>(
-    g: &Graph<I>,
-    order: &[u32],
-) -> (Vec<Color>, usize) {
     let mut colors = vec![UNCOLORED; g.n_vertices()];
-    let mut fb = F::with_capacity(g.max_degree() + 16);
+    let mut fb = StampSet::with_capacity(g.max_degree() + 16);
     for (k, &w) in order.iter().enumerate() {
         if let Some(&next) = order.get(k + crate::vertex::PREFETCH_AHEAD) {
             g.prefetch_nbor(next as usize);

@@ -11,19 +11,6 @@
 /// load; four items covers the gather latency without thrashing L1.
 pub const PREFETCH_AHEAD: usize = 4;
 
-/// Neighborhood size (max net size for BGPC, max degree for D2GC) above
-/// which the runners prefer the per-color [`crate::StampSet`] over the
-/// word-packed [`crate::BitStampSet`]. The greedy bound caps every chosen
-/// color by the distance-2 degree, so a vertex's first-fit scan can never
-/// probe more colors than its kernels inserted — on giant-net instances
-/// the per-edge insert traffic dwarfs any scan savings, and the stamp
-/// array's single-store insert wins end to end (see `BENCH_coloring.json`,
-/// which records both representations per schedule).
-///
-/// One definition, three consumers: the BGPC runner dispatch, the D2GC
-/// runner dispatch, and [`crate::engine::ForbiddenKind::auto_for`].
-pub const DENSE_FORBIDDEN_CUTOFF: usize = 128;
-
 /// Largest nonzero count a `u32` row pointer can address — re-exported
 /// from [`sparse::csr`] (the definition must live downstream of `sparse`
 /// since `IndexWidth::auto_for` uses it) so the engine's width guard and
@@ -34,18 +21,6 @@ pub use sparse::csr::U32_MAX_NNZ;
 mod tests {
     use super::*;
     use sparse::IndexWidth;
-
-    #[test]
-    fn forbidden_cutoff_matches_runner_dispatch_boundary() {
-        // The degenerate-instance suite exercises real colorings at
-        // 128/129; here we pin the constant itself so a drive-by edit
-        // cannot silently move the dispatch boundary.
-        assert_eq!(DENSE_FORBIDDEN_CUTOFF, 128);
-        assert!(crate::engine::ForbiddenKind::auto_for(DENSE_FORBIDDEN_CUTOFF)
-            == crate::engine::ForbiddenKind::BitStamp);
-        assert!(crate::engine::ForbiddenKind::auto_for(DENSE_FORBIDDEN_CUTOFF + 1)
-            == crate::engine::ForbiddenKind::Stamp);
-    }
 
     #[test]
     fn width_cutoff_boundary_u32_max() {

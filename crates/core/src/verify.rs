@@ -8,7 +8,7 @@
 use graph::{BipartiteGraph, Graph};
 use sparse::CsrIndex;
 
-use crate::{BitStampSet, Color, UNCOLORED};
+use crate::{Color, StampSet, UNCOLORED};
 
 /// Checks that `colors` is a complete, valid bipartite partial coloring:
 /// every vertex colored, and no two vertices of any net share a color.
@@ -28,7 +28,7 @@ pub fn verify_bgpc<I: CsrIndex>(g: &BipartiteGraph<I>, colors: &[Color]) -> Resu
             return Err(format!("vertex {u} has invalid color {c}"));
         }
     }
-    let mut seen = BitStampSet::with_capacity(64);
+    let mut seen = StampSet::with_capacity(64);
     for v in 0..g.n_nets() {
         seen.advance();
         for &u in g.vtxs(v) {
@@ -59,7 +59,7 @@ pub fn verify_d2gc<I: CsrIndex>(g: &Graph<I>, colors: &[Color]) -> Result<(), St
             return Err(format!("vertex {u} uncolored or invalid ({c})"));
         }
     }
-    let mut seen = BitStampSet::with_capacity(64);
+    let mut seen = StampSet::with_capacity(64);
     for v in 0..g.n_vertices() {
         seen.advance();
         seen.insert(colors[v]);

@@ -10,7 +10,6 @@ use par::{Pool, Sched, ThreadScratch};
 use sparse::CsrIndex;
 
 use crate::ctx::ThreadCtx;
-use crate::forbidden::ForbiddenSet;
 use crate::workqueue::{merge_local_queues, SharedQueue};
 use crate::{Balance, Colors, UNCOLORED};
 
@@ -26,7 +25,7 @@ pub(crate) use crate::tuning::PREFETCH_AHEAD;
 /// distance-2 neighborhood. Races with concurrent writers are expected and
 /// repaired by the following conflict-removal phase.
 #[allow(clippy::too_many_arguments)] // mirrors the paper kernel's parameter list
-pub fn color_workqueue_vertex<F: ForbiddenSet, I: CsrIndex>(
+pub fn color_workqueue_vertex<I: CsrIndex>(
     g: &BipartiteGraph<I>,
     w: &[u32],
     colors: &Colors,
@@ -34,7 +33,7 @@ pub fn color_workqueue_vertex<F: ForbiddenSet, I: CsrIndex>(
     chunk: usize,
     sched: Sched,
     balance: Balance,
-    scratch: &ThreadScratch<ThreadCtx<F, I>>,
+    scratch: &ThreadScratch<ThreadCtx<I>>,
 ) {
     let rec = pool.tracer();
     pool.for_sched(sched, w.len(), chunk, |tid, range| {
@@ -103,7 +102,7 @@ pub fn color_workqueue_vertex<F: ForbiddenSet, I: CsrIndex>(
 /// 64D lazy strategy collects conflicts in thread-private queues merged
 /// after the join. Returns `W_next`.
 #[allow(clippy::too_many_arguments)] // mirrors the paper kernel's parameter list
-pub fn remove_conflicts_vertex<F: ForbiddenSet, I: CsrIndex>(
+pub fn remove_conflicts_vertex<I: CsrIndex>(
     g: &BipartiteGraph<I>,
     w: &[u32],
     colors: &Colors,
@@ -111,9 +110,9 @@ pub fn remove_conflicts_vertex<F: ForbiddenSet, I: CsrIndex>(
     chunk: usize,
     sched: Sched,
     eager: Option<&SharedQueue>,
-    scratch: &mut ThreadScratch<ThreadCtx<F, I>>,
+    scratch: &mut ThreadScratch<ThreadCtx<I>>,
 ) -> Vec<u32> {
-    let scratch_ref: &ThreadScratch<ThreadCtx<F, I>> = scratch;
+    let scratch_ref: &ThreadScratch<ThreadCtx<I>> = scratch;
     let rec = pool.tracer();
     pool.for_sched(sched, w.len(), chunk, |tid, range| {
         par::faults::fire("bgpc.conflict", tid);

@@ -16,7 +16,6 @@
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 use crate::ctx::ThreadCtx;
-use crate::forbidden::ForbiddenSet;
 
 /// Entries a thread stages locally before one bulk `fetch_add` flush.
 pub const STAGE_CAPACITY: usize = 64;
@@ -170,8 +169,8 @@ impl SharedQueue {
 /// Concatenates the thread-private `local_queue`s of a scratch set (the
 /// `64D` lazy strategy) into one vector, clearing them for reuse.
 /// Deterministic order: by thread id.
-pub fn merge_local_queues<F: ForbiddenSet, I: sparse::CsrIndex>(
-    locals: &mut par::ThreadScratch<ThreadCtx<F, I>>,
+pub fn merge_local_queues<I: sparse::CsrIndex>(
+    locals: &mut par::ThreadScratch<ThreadCtx<I>>,
 ) -> Vec<u32> {
     let total: usize = {
         let mut t = 0;

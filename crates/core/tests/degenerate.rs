@@ -1,8 +1,8 @@
 //! Degenerate-instance coverage: every schedule × both chunk schedulers
 //! on the shapes most likely to break boundary arithmetic — an empty
 //! `V_A`, isolated (pin-less) nets and net-less vertices, a single
-//! vertex, a star (one net covering everything), and nets sized exactly
-//! on the 128-color forbidden-set dispatch boundary — plus the
+//! vertex, a star (one net covering everything), and 128/129-pin stars
+//! that fill a 64-aligned run of colors — plus the
 //! degenerate-*delta* battery for the incremental engine (empty batch,
 //! duplicate edge, delete-nonexistent).
 
@@ -88,12 +88,10 @@ fn star_net_forces_all_distinct() {
 }
 
 #[test]
-fn net_size_on_the_dense_dispatch_boundary() {
-    // The runner dispatches to the word-packed bitset at max_net_size ≤
-    // 128 and the stamp array above it. A star of exactly 128 pins
-    // exercises the last bitset instance (needing colors 0..=127, the
-    // full bitmap), 129 the first stamp instance — both must produce
-    // exactly net-size colors on every schedule.
+fn star_nets_of_128_and_129_pins() {
+    // A star of exactly 128 pins needs colors 0..=127, a full 64-aligned
+    // run; 129 needs one color past it. Both must produce exactly
+    // net-size colors on every schedule.
     for n in [128usize, 129] {
         let m = Csr::from_rows(n, &[(0..n as u32).collect()]);
         for k in run_all_bgpc(&m, 4) {
@@ -195,10 +193,9 @@ fn d2gc_single_vertex_and_edgeless() {
 }
 
 #[test]
-fn d2gc_star_on_the_dense_dispatch_boundary() {
-    // A star with hub degree exactly 128 (the bitset/stamp dispatch
-    // boundary) and 129: all leaves are pairwise distance-2 via the hub,
-    // so every vertex needs its own color.
+fn d2gc_stars_with_128_and_129_leaves() {
+    // A star with hub degree exactly 128 and 129: all leaves are pairwise
+    // distance-2 via the hub, so every vertex needs its own color.
     for leaves in [128usize, 129] {
         let n = leaves + 1;
         let rows: Vec<Vec<u32>> = (0..n)

@@ -176,10 +176,10 @@ fn explicit_overrides_beat_the_engine_end_to_end() {
 #[test]
 fn selection_never_crosses_problem_kinds() {
     let text = "\
-default bgpc schedule=N1-N2 sched=dynamic width=auto relabel=none forbidden=auto
-default d2gc schedule=V-V-64D sched=dynamic width=auto relabel=none forbidden=auto
+default bgpc schedule=N1-N2 sched=dynamic width=auto relabel=none
+default d2gc schedule=V-V-64D sched=dynamic width=auto relabel=none
 point bgpc tag=ex n=100 nets=100 nnz=1000 maxdeg=10 maxnet=10 avgdeg=10.0 cv=0.1 density=0.1 \
--> schedule=V-V sched=stealing width=u32 relabel=degree forbidden=stamp
+-> schedule=V-V sched=stealing width=u32 relabel=degree
 ";
     let engine = Engine::from_table_text(text).expect("table parses");
     let m = sparse::gen::erdos_renyi(50, 100, 9);

@@ -220,12 +220,10 @@ fn repeated_panics_across_runs_never_poison_the_pool() {
 }
 
 #[test]
-fn both_forbidden_set_representations_repair_after_faults() {
-    // The word-packed BitStampSet and the per-color StampSet drive the
-    // same generic kernels; a contained fault must repair into a valid
-    // coloring regardless of which representation the run used (the
-    // staged eager queue in particular must not lose or duplicate
-    // entries across the containment boundary).
+fn conflict_and_color_panics_repair_through_explicit_opts() {
+    // A contained fault must repair into a valid coloring through the
+    // `_with_opts` entry points too (the staged eager queue in particular
+    // must not lose or duplicate entries across the containment boundary).
     let _g = serial();
     let g = bgpc_instance();
     let order = Ordering::Natural.vertex_order_bgpc(&g);
@@ -233,34 +231,17 @@ fn both_forbidden_set_representations_repair_after_faults() {
     let opts = RunnerOpts::default();
     for schedule in [Schedule::v_v(), Schedule::n1_n2()] {
         faults::arm("bgpc.conflict", FaultAction::Panic);
-        let r_bits = bgpc::color_bgpc_with_set::<bgpc::BitStampSet, _>(
-            &g, &order, &schedule, &pool, opts.clone(),
-        );
+        let r = bgpc::color_bgpc_with_opts(&g, &order, &schedule, &pool, opts.clone());
         faults::reset();
-        assert_degraded_panic(&r_bits, FailedPhase::Conflict, "BitStampSet");
-        verify_bgpc(&g, &r_bits.colors)
-            .unwrap_or_else(|e| panic!("BitStampSet {}: {e}", schedule.name()));
-
-        faults::arm("bgpc.conflict", FaultAction::Panic);
-        let r_spec =
-            bgpc::color_bgpc_with_set::<bgpc::StampSet, _>(&g, &order, &schedule, &pool, opts.clone());
-        faults::reset();
-        assert_degraded_panic(&r_spec, FailedPhase::Conflict, "StampSet");
-        verify_bgpc(&g, &r_spec.colors)
-            .unwrap_or_else(|e| panic!("StampSet {}: {e}", schedule.name()));
+        assert_degraded_panic(&r, FailedPhase::Conflict, "BGPC");
+        verify_bgpc(&g, &r.colors).unwrap_or_else(|e| panic!("{}: {e}", schedule.name()));
     }
     let d2 = d2gc_instance();
     let d2_order = Ordering::Natural.vertex_order_d2(&d2);
     faults::arm("d2gc.color", FaultAction::Panic);
-    let r = bgpc::d2gc::color_d2gc_with_set::<bgpc::StampSet, _>(
-        &d2,
-        &d2_order,
-        &Schedule::n1_n2(),
-        &pool,
-        opts,
-    );
+    let r = bgpc::d2gc::color_d2gc_with_opts(&d2, &d2_order, &Schedule::n1_n2(), &pool, opts);
     faults::reset();
-    assert_degraded_panic(&r, FailedPhase::Color, "D2GC StampSet");
+    assert_degraded_panic(&r, FailedPhase::Color, "D2GC");
     verify_d2gc(&d2, &r.colors).unwrap();
 }
 

@@ -634,10 +634,10 @@ fn run_job(shared: &Arc<Shared>, pool: &par::Pool, engine: &bgpc::Engine, job: &
                 Ok::<_, String>((r, format!("schedule={}", schedule.name())))
             }
             // Engine-routed: featurize, select a full config, apply its
-            // relabeling/width at build time and its schedule/forbidden
-            // choice in the driver, with the online tuner attached. The
-            // coloring is mapped back through the relabel permutation, so
-            // clients (and the cache) always see original vertex ids.
+            // relabeling/width at build time and its schedule in the
+            // driver, with the online tuner attached. The coloring is
+            // mapped back through the relabel permutation, so clients (and
+            // the cache) always see original vertex ids.
             None => {
                 let choice = engine.select_bgpc(&g);
                 let cfg = &choice.config;

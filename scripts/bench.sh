@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Deterministic quick-mode benchmark run: forbidden-set microbench plus
-# end-to-end schedule timings on the synthetic dataset registry, written
-# to BENCH_coloring.json at the repo root.
+# Deterministic quick-mode benchmark run: end-to-end schedule timings on
+# the synthetic dataset registry, written to BENCH_coloring.json at the
+# repo root, plus the tracing-overhead microbench.
 #
 #   ./scripts/bench.sh            # quick mode (default)
 #   ./scripts/bench.sh --full     # larger scale, more threads/reps
@@ -148,9 +148,6 @@ echo "== bench_coloring ${MODE_FLAG:-(full)}"
 # shellcheck disable=SC2086  # MODE_FLAG is intentionally word-split
 ./target/release/bench_coloring ${MODE_FLAG} ${AXIS_FLAGS[@]+"${AXIS_FLAGS[@]}"} \
   --out BENCH_coloring.json
-
-echo "== microbench: forbidden-set representations"
-cargo bench --offline -p bench --bench forbidden
 
 echo "== microbench: tracing overhead (on vs off)"
 cargo bench --offline -p bench --bench trace_overhead
